@@ -16,8 +16,12 @@ frozen (checkpoints depend on them):
     [21..32] 12 chroma-class energies (A440 reference, power-normalized)
     [33]     chroma deviation (population std of the 12 chroma values)
 
-All spectral quantities share one windowed DFT per frame: Hamming window,
-zero-padded to the next power of two, magnitude via the real FFT.
+Frames are a read-only strided view of the samples, never copied. One
+batched real FFT per clip (Hamming window, zero-padded to the next power of
+two) gives the [n × bins] magnitude matrix that every spectral feature
+shares; each feature is then a row operation over the frame or spectrum
+matrix, so a whole clip costs one FFT call and no per-frame Python loop.
+The single-frame functions run the same code with n = 1.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None
 
 def frame_signal(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
                  step_ms: int = FRAME_STEP_MS) -> np.ndarray:
-    """Cut the clip into frames; returns [n × win] with trailing samples dropped.
+    """Cut the clip into frames; returns a read-only [n × win] view of the
+    samples with trailing samples dropped.
 
     n = (num_samples - win) // hop + 1 with win/hop in samples.
     """
@@ -137,25 +142,20 @@ def frame_signal(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
         raise InputError(f"need width_ms >= step_ms > 0, got {width_ms}/{step_ms}")
     win = clip.sample_rate * width_ms // 1000
     hop = clip.sample_rate * step_ms // 1000
+    if hop < 1:
+        raise InputError(f"a {step_ms} ms step is under one sample at {clip.sample_rate} Hz")
     if clip.samples.size < win:
         raise InputError(
             f"clip of {clip.samples.size} samples is shorter than one {win}-sample frame")
-    n = (clip.samples.size - win) // hop + 1
-    frames = np.empty((n, win), dtype=np.float64)
-    for i in range(n):
-        frames[i] = clip.samples[i * hop:i * hop + win]
-    return frames
+    return np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
 
 
 # ---------------------------------------------------------------------------
-# per-frame features
+# features of a [n × win] frame matrix; the per-frame functions are its n=1 case
 
 
 def _next_pow2(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
+    return 1 << max(n - 1, 0).bit_length()
 
 
 @lru_cache(maxsize=8)
@@ -174,13 +174,10 @@ def _mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
 
     edges = to_hz(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
-    bank = np.zeros((n_mels, bin_hz.size))
-    for j in range(n_mels):
-        left, center, right = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bin_hz - left) / (center - left)
-        falling = (right - bin_hz) / (right - center)
-        bank[j] = np.maximum(0.0, np.minimum(rising, falling))
-    return bank
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bin_hz - left) / (center - left)
+    falling = (right - bin_hz) / (right - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 @lru_cache(maxsize=8)
@@ -194,36 +191,102 @@ def _dct_matrix(n_coeffs: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _chroma_classes(nfft: int, sample_rate: int) -> np.ndarray:
-    """Pitch class (0..11, A440 reference) per spectrum bin; -1 for DC."""
-    bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
-    classes = np.full(bin_hz.size, -1, dtype=np.int64)
-    positive = bin_hz > 0
-    classes[positive] = np.round(12.0 * np.log2(bin_hz[positive] / 440.0)).astype(np.int64) % 12
-    return classes
+def _chroma_indicator(nfft: int, sample_rate: int) -> np.ndarray:
+    """[12 × nfft//2+1]: 1 where a bin belongs to a pitch class (A440
+    reference); the DC column is all zero."""
+    bin_hz = np.arange(1, nfft // 2 + 1) * (sample_rate / nfft)
+    classes = np.round(12.0 * np.log2(bin_hz / 440.0)).astype(np.int64) % 12
+    indicator = np.zeros((12, nfft // 2 + 1))
+    indicator[classes, np.arange(1, nfft // 2 + 1)] = 1.0
+    return indicator
 
 
-def _magnitude_spectrum(frame: np.ndarray) -> np.ndarray:
-    nfft = _next_pow2(frame.size)
-    return np.abs(np.fft.rfft(frame * _hamming(frame.size), nfft))
+def _magnitudes(frames: np.ndarray) -> np.ndarray:
+    """|rFFT| of every Hamming-windowed, zero-padded row: [n × nfft//2+1]."""
+    win = frames.shape[1]
+    return np.abs(np.fft.rfft(frames * _hamming(win), _next_pow2(win), axis=1))
 
 
-def _block_entropy(energies: np.ndarray) -> float:
-    total = energies.sum()
-    if total <= 0.0:
-        return 0.0
-    p = energies / total
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+def _normalize_rows(x: np.ndarray, totals: np.ndarray | None = None) -> np.ndarray:
+    """Rows divided by their totals (default: their sums); zero-total rows stay 0."""
+    totals = x.sum(axis=1, keepdims=True) if totals is None else totals[:, None]
+    return np.divide(x, totals, out=np.zeros_like(x), where=totals > 0.0)
+
+
+def _entropy_rows(parts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row's share of its total; 0 for zero rows."""
+    p = _normalize_rows(parts)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=1)
+
+
+def _zcr_rows(frames: np.ndarray) -> np.ndarray:
+    """Sign changes per adjacent pair of each row; sign(0) counts as +1."""
+    return np.count_nonzero(np.diff(frames >= 0.0, axis=1), axis=1) / (frames.shape[1] - 1)
+
+
+def _mfcc_rows(power: np.ndarray, nfft: int, sample_rate: int,
+               n_mels: int = 40, n_coeffs: int = 13) -> np.ndarray:
+    energies = power @ _mel_filterbank(n_mels, nfft, sample_rate).T
+    return np.log(np.maximum(energies, _EPS)) @ _dct_matrix(n_coeffs, n_mels).T
+
+
+def _frame_features(frames: np.ndarray, sample_rate: int,
+                    prev_frame: np.ndarray | None = None) -> np.ndarray:
+    """The [34 × n] feature matrix of a [n × win] frame matrix.
+
+    Row i's spectral flux compares against row i-1; row 0's against
+    prev_frame, or is 0 when prev_frame is None.
+    """
+    n, win = frames.shape
+    if win < 2:
+        raise InputError(f"need a frame of at least 2 samples, got {win}")
+    mag = _magnitudes(frames)
+    power = mag * mag
+    total_power = power.sum(axis=1)
+    nfft = _next_pow2(win)
+    n_bins = mag.shape[1]
+    bin_hz = np.arange(n_bins) * (sample_rate / nfft)
+    out = np.empty((N_FEATURES, n), dtype=np.float64)
+
+    squares = frames * frames
+    out[0] = _zcr_rows(frames)
+    out[1] = squares.mean(axis=1)
+    n_blocks = min(8, win)
+    blocks = squares[:, :n_blocks * (win // n_blocks)].reshape(n, n_blocks, -1)
+    out[2] = _entropy_rows(blocks.sum(axis=2))
+
+    # centroid and spread are moments of the L1-normalised magnitudes
+    mag_l1 = _normalize_rows(mag)
+    centroid_hz = mag_l1 @ bin_hz
+    out[3] = centroid_hz / (sample_rate / 2.0)
+    out[4] = np.sqrt((((bin_hz - centroid_hz[:, None]) ** 2) * mag_l1).sum(axis=1)) \
+        / (sample_rate / 2.0)
+
+    n_bands = min(8, n_bins)
+    bands = power[:, :n_bands * (n_bins // n_bands)].reshape(n, n_bands, -1)
+    out[5] = _entropy_rows(bands.sum(axis=2))
+
+    prev_l1 = np.empty_like(mag_l1)
+    prev_l1[1:] = mag_l1[:-1]
+    prev_l1[0] = mag_l1[0] if prev_frame is None else \
+        _normalize_rows(_magnitudes(np.asarray(prev_frame, dtype=np.float64)[None]))[0]
+    out[6] = np.sqrt(((mag_l1 - prev_l1) ** 2).sum(axis=1))
+
+    # a silent row's cumsum is all >= 0, so argmax gives it rolloff 0
+    reached = np.cumsum(power, axis=1) >= 0.90 * total_power[:, None]
+    out[7] = np.argmax(reached, axis=1) / n_bins
+
+    out[8:21] = _mfcc_rows(power, nfft, sample_rate).T
+    chroma = _normalize_rows(power @ _chroma_indicator(nfft, sample_rate).T, total_power)
+    out[21:33] = chroma.T
+    out[33] = chroma.std(axis=1)
+    return out
 
 
 def zero_crossing_rate(frame: np.ndarray) -> float:
     """Crossings per adjacent pair, in [0, 1]; sign(0) counts as +1."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 2:
-        return 0.0
-    signs = np.where(frame >= 0.0, 1.0, -1.0)
-    return float(np.abs(np.diff(signs)).sum() / (2.0 * (frame.size - 1)))
+    return float(_zcr_rows(frame[None])[0]) if frame.size >= 2 else 0.0
 
 
 def short_time_energy(frame: np.ndarray) -> float:
@@ -243,67 +306,8 @@ def mfcc(frame: np.ndarray, sample_rate: int, n_mels: int = 40,
     frame = np.asarray(frame, dtype=np.float64)
     if frame.size < 2:
         raise InputError(f"mfcc needs a frame of at least 2 samples, got {frame.size}")
-    mag = _magnitude_spectrum(frame)
-    nfft = _next_pow2(frame.size)
-    energies = _mel_filterbank(n_mels, nfft, sample_rate) @ (mag * mag)
-    log_e = np.log(np.maximum(energies, _EPS))
-    return _dct_matrix(n_coeffs, n_mels) @ log_e
-
-
-def _llf_from_spectrum(frame: np.ndarray, mag: np.ndarray, prev_mag_l1: np.ndarray | None,
-                       sample_rate: int) -> np.ndarray:
-    out = np.empty(N_FEATURES, dtype=np.float64)
-    power = mag * mag
-    total_power = power.sum()
-    nyquist = sample_rate / 2.0
-    nfft = _next_pow2(frame.size)
-    bin_hz = np.arange(mag.size) * (sample_rate / nfft)
-
-    out[0] = zero_crossing_rate(frame)
-    out[1] = short_time_energy(frame)
-
-    n_blocks = min(8, frame.size)
-    block_len = frame.size // n_blocks
-    blocks = frame[:n_blocks * block_len].reshape(n_blocks, block_len)
-    out[2] = _block_entropy((blocks * blocks).sum(axis=1))
-
-    mag_sum = mag.sum()
-    if mag_sum > 0.0:
-        centroid_hz = float((bin_hz * mag).sum() / mag_sum)
-        spread_hz = float(np.sqrt((((bin_hz - centroid_hz) ** 2) * mag).sum() / mag_sum))
-        out[3] = centroid_hz / nyquist
-        out[4] = spread_hz / nyquist
-    else:
-        out[3] = 0.0
-        out[4] = 0.0
-
-    n_bands = min(8, mag.size)
-    band_len = mag.size // n_bands
-    bands = power[:n_bands * band_len].reshape(n_bands, band_len)
-    out[5] = _block_entropy(bands.sum(axis=1))
-
-    mag_l1 = mag / mag_sum if mag_sum > 0.0 else np.zeros_like(mag)
-    if prev_mag_l1 is None:
-        out[6] = 0.0
-    else:
-        diff = mag_l1 - prev_mag_l1
-        out[6] = float(np.sqrt((diff * diff).sum()))
-
-    if total_power > 0.0:
-        out[7] = float(np.argmax(np.cumsum(power) >= 0.90 * total_power)) / mag.size
-    else:
-        out[7] = 0.0
-
-    out[8:21] = mfcc(frame, sample_rate)
-
-    chroma = np.zeros(12, dtype=np.float64)
-    if total_power > 0.0:
-        classes = _chroma_classes(nfft, sample_rate)
-        np.add.at(chroma, classes[classes >= 0], power[classes >= 0])
-        chroma /= total_power
-    out[21:33] = chroma
-    out[33] = float(chroma.std())
-    return out
+    mag = _magnitudes(frame[None])
+    return _mfcc_rows(mag * mag, _next_pow2(frame.size), sample_rate, n_mels, n_coeffs)[0]
 
 
 def extract_llf(frame: np.ndarray, sample_rate: int,
@@ -313,26 +317,12 @@ def extract_llf(frame: np.ndarray, sample_rate: int,
     Spectral flux compares against prev_frame; pass None for the first
     frame of an utterance (flux is then 0).
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 2:
-        raise InputError(f"need a frame of at least 2 samples, got {frame.size}")
-    prev_l1 = None
-    if prev_frame is not None:
-        prev_mag = _magnitude_spectrum(np.asarray(prev_frame, dtype=np.float64))
-        s = prev_mag.sum()
-        prev_l1 = prev_mag / s if s > 0.0 else np.zeros_like(prev_mag)
-    return _llf_from_spectrum(frame, _magnitude_spectrum(frame), prev_l1, sample_rate)
+    frame = np.asarray(frame, dtype=np.float64).reshape(1, -1)
+    return _frame_features(frame, sample_rate, prev_frame)[:, 0]
 
 
 def utterance_features(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
                        step_ms: int = FRAME_STEP_MS) -> FrameFeatureMatrix:
     """Feature matrix [34 × n] for a whole clip; column i describes frame i."""
     frames = frame_signal(clip, width_ms, step_ms)
-    out = np.empty((N_FEATURES, frames.shape[0]), dtype=np.float64)
-    prev_l1 = None
-    for i in range(frames.shape[0]):
-        mag = _magnitude_spectrum(frames[i])
-        out[:, i] = _llf_from_spectrum(frames[i], mag, prev_l1, clip.sample_rate)
-        s = mag.sum()
-        prev_l1 = mag / s if s > 0.0 else np.zeros_like(mag)
-    return FrameFeatureMatrix(out, width_ms, step_ms)
+    return FrameFeatureMatrix(_frame_features(frames, clip.sample_rate), width_ms, step_ms)

@@ -362,30 +362,44 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, verifying shapes and the feature-order hash."""
+    """Read a checkpoint, verifying shapes and the feature-order hash.
+
+    Truncated or malformed content raises InputError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise InputError(f"{path}: not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        blob = fh.read()
+    if not blob.startswith(_CKPT_MAGIC):
+        raise InputError(f"{path}: not a checkpoint file")
+    try:
+        version, header_len = struct.unpack_from("<II", blob, len(_CKPT_MAGIC))
         if version != _CKPT_VERSION:
             raise InputError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-    if header["feature_order_hash"] != feature_order_hash():
-        raise InputError(
-            f"{path}: checkpoint was built against a different feature order "
-            f"({header['feature_order_hash']} vs {feature_order_hash()})")
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise InputError(f"{path}: truncated checkpoint payload")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+        start = len(_CKPT_MAGIC) + 8
+        header = json.loads(blob[start:start + header_len].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise InputError(f"{path}: checkpoint header is not a JSON object")
+        payload = blob[start + header_len:]
+        if header["feature_order_hash"] != feature_order_hash():
+            raise InputError(
+                f"{path}: checkpoint was built against a different feature order "
+                f"({header['feature_order_hash']} vs {feature_order_hash()})")
+        arrays: dict[str, np.ndarray] = {}
+        for entry in header["tensors"]:
+            raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            if len(raw) != entry["nbytes"]:
+                raise InputError(f"{path}: truncated checkpoint payload")
+            arrays[str(entry["name"])] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+        fusion_mode = FusionMode.parse(header["fusion_mode"])
+        pool_mode = header.get("pool_mode", "sum")
+    except InputError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     feature_mean = arrays.pop("feature_mean", None)
     feature_std = arrays.pop("feature_std", None)
     if feature_mean is None or feature_std is None:
         raise InputError(f"{path}: checkpoint is missing the normalization statistics")
+    if feature_mean.shape != (N_FEATURES,) or feature_std.shape != (N_FEATURES,):
+        raise InputError(f"{path}: normalization statistics must be {N_FEATURES}-vectors")
     missing = set(PARAM_SHAPES) - set(arrays)
     extra = set(arrays) - set(PARAM_SHAPES)
     if missing or extra:
@@ -398,8 +412,8 @@ def load_checkpoint(path) -> Checkpoint:
     params = ModelParams.from_arrays(arrays)
     return Checkpoint(
         params=params,
-        fusion_mode=FusionMode.parse(header["fusion_mode"]),
+        fusion_mode=fusion_mode,
         feature_mean=np.asarray(feature_mean, dtype=np.float64),
         feature_std=np.asarray(feature_std, dtype=np.float64),
-        pool_mode=header.get("pool_mode", "sum"),
+        pool_mode=pool_mode,
     )

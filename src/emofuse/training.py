@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -174,18 +175,28 @@ def report_from_confusion(confusion: np.ndarray) -> EvalReport:
 # data preparation
 
 
+def _source_key(record: UtteranceRecord) -> tuple[int, int, int, int]:
+    """The feature source file's identity (device and inode, which resolve
+    any path or link) plus its size and mtime: a cache key that neither a
+    reused record id nor a rewritten file can alias. It takes one stat call,
+    where Path.resolve() takes one per path component."""
+    stat = os.stat(record.audio_path or record.features_path)
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 def gather_features(records: Sequence[UtteranceRecord],
-                    cache: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Raw feature matrices per record id; cache persists across folds/modes."""
+                    cache: dict[tuple, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Raw feature matrices per record id; the cache, keyed by feature
+    source file, persists across folds, modes and datasets."""
     out: dict[str, np.ndarray] = {}
     for record in records:
-        if cache is not None and record.id in cache:
-            out[record.id] = cache[record.id]
+        if cache is None:
+            out[record.id] = load_record_features(record)
             continue
-        features = load_record_features(record)
-        if cache is not None:
-            cache[record.id] = features
-        out[record.id] = features
+        key = _source_key(record)
+        if key not in cache:
+            cache[key] = load_record_features(record)
+        out[record.id] = cache[key]
     return out
 
 
@@ -210,7 +221,7 @@ def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
 
 def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
                table: EmbeddingTable,
-               feature_cache: dict[str, np.ndarray] | None = None,
+               feature_cache: dict[tuple, np.ndarray] | None = None,
                ) -> tuple[M.Checkpoint, list[float]]:
     """Train on one split; returns the checkpoint and the per-epoch mean loss.
 
@@ -267,7 +278,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
 
 def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
             table: EmbeddingTable,
-            feature_cache: dict[str, np.ndarray] | None = None,
+            feature_cache: dict[tuple, np.ndarray] | None = None,
             batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """(labels, probabilities [N × 4]) for records under a trained checkpoint.
 
@@ -288,7 +299,7 @@ def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
 
 def evaluate(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
              table: EmbeddingTable,
-             feature_cache: dict[str, np.ndarray] | None = None,
+             feature_cache: dict[tuple, np.ndarray] | None = None,
              batch_size: int = 32) -> EvalReport:
     """Confusion matrix plus WA and UA on a record set."""
     labels, _ = predict(checkpoint, records, table, feature_cache, batch_size)
@@ -322,7 +333,7 @@ class CrossValReport:
 
 def cross_validate(records: Sequence[UtteranceRecord], config: TrainConfig,
                    table: EmbeddingTable, k: int = 5,
-                   feature_cache: dict[str, np.ndarray] | None = None,
+                   feature_cache: dict[tuple, np.ndarray] | None = None,
                    ) -> CrossValReport:
     """k-fold cross-validation of one fusion mode; reports per-fold and mean."""
     config.validate()
@@ -348,7 +359,7 @@ def run_ablation(records: Sequence[UtteranceRecord], config: TrainConfig,
                  table: EmbeddingTable, modes: Sequence[str], k: int = 5,
                  ) -> dict[str, CrossValReport]:
     """Cross-validate each fusion mode on the same folds and features."""
-    feature_cache: dict[str, np.ndarray] = {}
+    feature_cache: dict[tuple, np.ndarray] = {}
     reports: dict[str, CrossValReport] = {}
     for mode in modes:
         mode_value = M.FusionMode.parse(mode).value

@@ -82,6 +82,14 @@ class TestTrainEval:
         assert set(payload) >= {"confusion", "wa", "ua"}
         assert 0.0 <= payload["wa"] <= 1.0
 
+    def test_truncated_checkpoint_is_exit_1(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "short.emc"
+        path.write_bytes(b"EMOFCKPT\x01\x00")
+        code, _ = run(capsys, "eval", "--checkpoint", str(path),
+                      "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"))
+        assert code == 1
+
     def test_eval_is_idempotent(self, synth_dir, ckpt, capsys):
         args = ("eval", "--checkpoint", str(ckpt),
                 "--manifest", str(synth_dir / "manifest.jsonl"),

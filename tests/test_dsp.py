@@ -161,6 +161,10 @@ class TestFraming:
         with pytest.raises(InputError):
             dsp.frame_signal(dsp.AudioClip(np.zeros(399)))
 
+    def test_step_under_one_sample(self):
+        with pytest.raises(InputError):
+            dsp.frame_signal(dsp.AudioClip(np.zeros(200), sample_rate=50))
+
     def test_frames_are_contiguous_windows(self):
         clip = dsp.AudioClip(np.linspace(-1, 1, 1000))
         frames = dsp.frame_signal(clip)
@@ -274,6 +278,22 @@ class TestUtteranceFeatures:
         assert feats[6, 0] == 0.0
         want = ref_llf(frames[1], 16000, prev_frame=frames[0])[6]
         assert feats[6, 1] == pytest.approx(want, abs=1e-9)
+
+    def test_every_column_matches_oracle_across_silence_and_dc(self):
+        # noise, silence, a constant offset, noise: the batch holds rows with
+        # zero magnitude and power and flux into and out of them
+        rng = np.random.default_rng(8)
+        samples = np.concatenate([rng.uniform(-0.5, 0.5, 1200), np.zeros(1600),
+                                  np.full(1600, 0.25), rng.uniform(-0.5, 0.5, 800)])
+        clip = dsp.AudioClip(samples)
+        frames = dsp.frame_signal(clip)
+        assert any(not f.any() for f in frames)
+        assert any(f.any() and np.ptp(f) == 0.0 for f in frames)
+        feats = dsp.utterance_features(clip).features
+        for i in range(frames.shape[0]):
+            prev = frames[i - 1] if i > 0 else None
+            np.testing.assert_allclose(feats[:, i], ref_llf(frames[i], 16000, prev_frame=prev),
+                                       atol=1e-6, err_msg=f"frame {i}")
 
 
 class TestWavIo:

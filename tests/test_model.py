@@ -1,6 +1,7 @@
 """Tests for the network stages, fusion modes and checkpoints."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestFusionMode:
             M.FusionMode.parse("attnfusion")
 
 
+def header_edit(edit):
+    """A corruption that replaces a checkpoint's JSON header by edit(header)."""
+    def corrupt(blob):
+        header_len = int.from_bytes(blob[12:16], "little")
+        header = edit(json.loads(blob[16:16 + header_len]))
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+        return blob[:12] + len(raw).to_bytes(4, "little") + raw + blob[16 + header_len:]
+    return corrupt
+
+
+def tensor_edit(name, **fields):
+    """A header edit that overrides fields of one tensor's table entry."""
+    return header_edit(lambda h: {**h, "tensors": [{**e, **fields} if e["name"] == name else e
+                                                   for e in h["tensors"]]})
+
+
 class TestCheckpoint:
     def _checkpoint(self, params):
         return M.Checkpoint(
@@ -301,5 +318,27 @@ class TestCheckpoint:
         blob = path.read_bytes()
         tampered = blob.replace(b'"name": "cme_w", "nbytes"', b'"name": "cme_x", "nbytes"')
         path.write_bytes(tampered)
+        with pytest.raises(InputError):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda blob: b"EMOFCKPT\x01\x00", id="truncated-version"),
+        pytest.param(lambda blob: blob[:40], id="truncated-header"),
+        pytest.param(header_edit(lambda h: b"\xff\xfe{}"), id="non-utf8-header"),
+        pytest.param(header_edit(lambda h: b"{not json"), id="invalid-json"),
+        pytest.param(header_edit(lambda h: [h]), id="header-not-object"),
+        pytest.param(header_edit(lambda h: {k: v for k, v in h.items() if k != "tensors"}),
+                     id="missing-key"),
+        pytest.param(tensor_edit("cme_w", shape=[7, 3]), id="shape-nbytes-mismatch"),
+        pytest.param(tensor_edit("cme_w", nbytes=6), id="nbytes-not-float32"),
+        pytest.param(tensor_edit("feature_std", shape=[2, 17]), id="stats-wrong-shape"),
+        pytest.param(header_edit(lambda h: {**h, "tensors": h["tensors"] + [
+            {**h["tensors"][0], "name": 5}, {**h["tensors"][0], "name": "x"}]}),
+            id="mixed-type-names"),
+    ])
+    def test_rejects_malformed_content(self, tmp_path, params, corrupt):
+        path = tmp_path / "model.emc"
+        M.save_checkpoint(self._checkpoint(params), path)
+        path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(InputError):
             M.load_checkpoint(path)

@@ -16,6 +16,30 @@ def sanity_set(tmp_path_factory):
     return ds.records, data.load_embeddings(ds.embeddings_path)
 
 
+class TestGatherFeatures:
+    def test_colliding_ids_from_another_dataset_get_their_own_features(self, tmp_path):
+        # synthetic ids repeat across seeds; a shared cache must not mix the sets
+        first = data.synth_dataset(tmp_path / "a", n_per_class=1, seed=1).records
+        second = data.synth_dataset(tmp_path / "b", n_per_class=1, seed=2).records
+        assert [r.id for r in first] == [r.id for r in second]
+        cache = {}
+        training.gather_features(first, cache)
+        got = training.gather_features(second, cache)
+        for record in second:
+            np.testing.assert_array_equal(got[record.id], data.load_record_features(record))
+
+    def test_repeat_requests_hit_the_cache(self, sanity_set, monkeypatch):
+        records, _ = sanity_set
+        cache = {}
+        first = training.gather_features(records, cache)
+        loads = []
+        monkeypatch.setattr(training, "load_record_features",
+                            lambda record: loads.append(record) or data.load_record_features(record))
+        again = training.gather_features(records, cache)
+        assert loads == []
+        assert all(again[r.id] is first[r.id] for r in records)
+
+
 class TestAdamStep:
     def _setup(self):
         params = model.init_params(seed=0)
