@@ -99,7 +99,9 @@ def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray,
     mode "sum" multiplies by the binary matrix as-is; mode "mean" divides
     each nonzero column of A by its number of ones first. Each word column
     accumulates its frames sequentially in time order, so the result is
-    bit-identical to an explicit per-word summation loop.
+    bit-identical to an explicit per-word summation loop. The words run
+    side by side: the k-th frame of every word is gathered at once (a zero
+    frame stands in for words with fewer frames), and the loop is over k.
     """
     mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a, dtype=np.float64)
     if z.data.ndim != 2 or z.shape[1] != mat.shape[0]:
@@ -112,11 +114,23 @@ def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray,
         raise InputError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
 
     weights = mat.astype(z.data.dtype)
-    out_data = np.zeros((z.shape[0], weights.shape[1]), dtype=z.data.dtype)
-    for j in range(weights.shape[1]):
-        for i in np.flatnonzero(weights[:, j]):
-            w = weights[i, j]
-            out_data[:, j] += z.data[:, i] if w == 1.0 else w * z.data[:, i]
+    n, m = weights.shape
+    words, frames = np.nonzero(weights.T)  # word-major, frames ascending per word
+    counts = np.bincount(words, minlength=m)
+    offset = np.arange(words.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    depth = int(counts.max(initial=0))
+    index = np.full((depth, m), n)         # row n of frames_by_row stays zero
+    index[offset, words] = frames
+    scale = np.zeros((depth, m, 1), dtype=weights.dtype)
+    scale[offset, words, 0] = weights[frames, words]
+    frames_by_row = np.zeros((n + 1, z.shape[0]), dtype=z.data.dtype)
+    frames_by_row[:n] = z.data.T
+    gathered = frames_by_row[index]        # [depth × m × q]: k-th frame of each word
+    gathered *= scale
+    out_t = np.zeros((m, z.shape[0]), dtype=z.data.dtype)
+    for k in range(depth):
+        out_t += gathered[k]
+    out_data = np.ascontiguousarray(out_t.T)
 
     def grad_fn(g: np.ndarray) -> None:
         z.grad += g @ weights.T

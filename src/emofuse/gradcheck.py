@@ -31,7 +31,9 @@ def grad_check(f: Callable[[T.Tensor], T.Tensor], x: T.Tensor, eps: float = 1e-5
     probe = T.Tensor(x.data.copy(), requires_grad=True)
     loss = f(probe)
     T.backward(loss)
-    analytic = probe.grad.reshape(-1).copy()
+    # a tensor the loss never reaches gets no gradient: it is zero
+    analytic = (np.zeros(x.size) if probe.grad is None
+                else probe.grad.reshape(-1).copy())
 
     flat = x.data.reshape(-1).copy()
     if coords is None:
@@ -181,6 +183,35 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, T.Tensor]]:
         return T.cross_entropy(T.hadamard(q, col), onehot)
 
     cases.append(("cross_entropy/plain", ce_plain, T.Tensor(probs_raw)))
+
+    # ops added later draw after every older case, so the older cases keep
+    # their random shapes and values
+    for label, n_short in (("n=1", 1), ("n<k", 2)):
+        k_long = n_short + int(rng.integers(1, 5))
+        f_long = T.Tensor(rng.standard_normal((cout, cin, k_long)))
+        cases.append((f"conv1d_same/x {label}",
+                      lambda x, f_long=f_long: T.sum_all(T.sigmoid(T.conv1d_same(x, f_long, bias_fixed))),
+                      T.Tensor(rng.standard_normal((cin, n_short)))))
+    cases.append(("concat_cols", lambda a: T.sum_all(T.sigmoid(T.concat_cols(other, a, other))),
+                  T.Tensor(rng.standard_normal(shape))))
+    take = rng.permutation(np.concatenate([np.arange(shape[1]), [-1, -1]]))
+    cases.append(("take_cols", lambda x: T.sum_all(T.sigmoid(T.take_cols(x, take))),
+                  T.Tensor(rng.standard_normal(shape))))
+
+    hid, cell_b = dim(), 4
+    weigh = T.Tensor(rng.standard_normal((2 * hid, cell_b)))
+    cell_args = {"x_proj": (4 * hid, cell_b), "state": (2 * hid, cell_b),
+                 "w_h": (4 * hid, hid), "bias": (4 * hid,)}
+    fixed = {name: T.Tensor(0.5 * rng.standard_normal(shp)) for name, shp in cell_args.items()}
+    for label, cell_valid in (("padded", np.array([True, False, True, False])),
+                              ("full", np.ones(cell_b, dtype=bool))):
+        for name, shp in cell_args.items():
+            def cell(probe, _name=name, _valid=cell_valid):
+                args = {**fixed, _name: probe}
+                out = T.lstm_cell(args["x_proj"], args["state"], args["w_h"], args["bias"], _valid)
+                return T.sum_all(T.hadamard(out, weigh))
+            cases.append((f"lstm_cell/{name} {label}", cell,
+                          T.Tensor(0.5 * rng.standard_normal(shp))))
     return cases
 
 

@@ -13,9 +13,10 @@ Three fusion modes are supported:
 Shape ledger: 34×n → CNN → 128×n → alignment → 128×m → gate → 128×m →
 concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
 
-Batching pads every utterance in a mini-batch to the longest word count;
-valid-length masks keep the LSTM states and the max-pool blind to padding,
-so padded and unpadded forwards agree exactly.
+Batching packs the frames of a mini-batch side by side for one CNN pass,
+then pads every utterance to the longest word count; valid-length masks
+keep the LSTM states and the max-pool blind to padding, so padded and
+unpadded forwards agree exactly.
 """
 
 from __future__ import annotations
@@ -170,16 +171,47 @@ def init_params(seed: int = 0) -> ModelParams:
 # network stages
 
 
-def acoustic_encode(x: T.Tensor, params: ModelParams) -> T.Tensor:
-    """34×n low-level features -> 128×n embedding.
+def acoustic_encode_batch(xs: Sequence[T.Tensor], params: ModelParams) -> list[T.Tensor]:
+    """34×n_b low-level features per utterance -> one 128×n_b embedding each.
 
-    Three stacked 1-d conv layers with relu; the output concatenates all
-    three layer outputs (64 + 32 + 32 rows).
+    Three stacked 1-d conv layers with relu; each output concatenates all
+    three layer outputs (64 + 32 + 32 rows). The batch runs as one matrix:
+    utterances sit side by side with max(CNN_KERNELS)//2 zero columns
+    between neighbours, which no kernel can reach across, so each layer is
+    a single conv. A constant 0/1 column mask re-zeroes the gaps after each
+    layer that feeds another; the outer ends need no gap, as the conv pads
+    them with zeros itself.
     """
-    layer1 = T.relu(T.conv1d_same(x, params.conv1_w, params.conv1_b))
-    layer2 = T.relu(T.conv1d_same(layer1, params.conv2_w, params.conv2_b))
-    layer3 = T.relu(T.conv1d_same(layer2, params.conv3_w, params.conv3_b))
-    return T.concat_rows(layer1, layer2, layer3)
+    gap = max(CNN_KERNELS) // 2
+    widths = [x.shape[1] for x in xs]
+    starts = np.cumsum([0] + [w + gap for w in widths[:-1]])
+    if len(xs) == 1:
+        h, keep = xs[0], None
+    else:
+        gap_cols = T.zeros((xs[0].shape[0], gap))
+        parts = [xs[0]]
+        for x in xs[1:]:
+            parts += [gap_cols, x]
+        h = T.concat_cols(*parts)
+        keep = np.zeros(h.shape[1], dtype=h.data.dtype)
+        for start, width in zip(starts, widths):
+            keep[start:start + width] = 1.0
+    layers = []
+    for w, b in ((params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
+                 (params.conv3_w, params.conv3_b)):
+        if keep is not None and layers:
+            h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
+        h = T.relu(T.conv1d_same(h, w, b))
+        layers.append(h)
+    out = T.concat_rows(*layers)
+    if keep is None:
+        return [out]
+    return [T.slice_cols(out, start, start + width) for start, width in zip(starts, widths)]
+
+
+def acoustic_encode(x: T.Tensor, params: ModelParams) -> T.Tensor:
+    """34×n low-level features -> 128×n embedding: the one-utterance batch."""
+    return acoustic_encode_batch([x], params)[0]
 
 
 def semantic_encode(tokens: Sequence[str], table: EmbeddingTable,
@@ -200,43 +232,39 @@ def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
     return T.hadamard(gate, z_a2)
 
 
-def _lstm_direction(g: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
-                    wx: T.Tensor, wh: T.Tensor, bias: T.Tensor,
-                    reverse: bool) -> list[T.Tensor]:
+def _lstm_direction(proj: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
+                    wh: T.Tensor, bias: T.Tensor, reverse: bool) -> list[T.Tensor]:
+    """Hidden states [H×B] per step; proj [4H × steps·B] holds W_x·x for
+    every step, time-major, so one fused cell per step adds the rest."""
     hidden = LSTM_HIDDEN
-    min_len = int(lengths.min())
-    h = T.zeros((hidden, batch))
-    c = T.zeros((hidden, batch))
+    state = T.zeros((2 * hidden, batch))
     outputs: list[T.Tensor | None] = [None] * steps
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
-        x_t = T.slice_cols(g, t * batch, (t + 1) * batch)
-        pre = T.add_bias(T.add(T.matmul(wx, x_t), T.matmul(wh, h)), bias)
-        gate_in = T.sigmoid(T.slice_rows(pre, 0, hidden))
-        gate_forget = T.sigmoid(T.slice_rows(pre, hidden, 2 * hidden))
-        candidate = T.tanh(T.slice_rows(pre, 2 * hidden, 3 * hidden))
-        gate_out = T.sigmoid(T.slice_rows(pre, 3 * hidden, 4 * hidden))
-        c_new = T.add(T.hadamard(gate_in, candidate), T.hadamard(gate_forget, c))
-        h_new = T.hadamard(gate_out, T.tanh(c_new))
-        if t >= min_len:
-            # some sequences are padding at this step: carry their state
-            valid = (lengths > t).astype(h.data.dtype)
-            mask = T.Tensor(np.broadcast_to(valid, (hidden, batch)))
-            inv = T.Tensor(np.broadcast_to(1.0 - valid, (hidden, batch)))
-            h = T.add(T.hadamard(h_new, mask), T.hadamard(h, inv))
-            c = T.add(T.hadamard(c_new, mask), T.hadamard(c, inv))
-        else:
-            h, c = h_new, c_new
-        outputs[t] = h
+        x_t = T.slice_cols(proj, t * batch, (t + 1) * batch)
+        state = T.lstm_cell(x_t, state, wh, bias, lengths > t)
+        outputs[t] = T.slice_rows(state, 0, hidden)
     return outputs
 
 
 def _bilstm(g: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
             params: ModelParams) -> list[T.Tensor]:
-    forward_h = _lstm_direction(g, batch, steps, lengths, params.lstm_fw_wx,
-                                params.lstm_fw_wh, params.lstm_fw_b, reverse=False)
-    backward_h = _lstm_direction(g, batch, steps, lengths, params.lstm_bw_wx,
-                                 params.lstm_bw_wh, params.lstm_bw_b, reverse=True)
+    # The input projection of each direction is one matmul over the real
+    # (step, sequence) columns only, scattered back to the time-major
+    # layout: a product that also covered padding columns would change
+    # with the padding amount in the last float32 bit.
+    real = (np.arange(steps)[:, None] < lengths[None, :]).reshape(-1)
+    real_cols = np.flatnonzero(real)
+    scatter = np.full(real.size, -1, dtype=np.int64)
+    scatter[real_cols] = np.arange(real_cols.size)
+    g_real = T.take_cols(g, real_cols)
+
+    def direction(wx: T.Tensor, wh: T.Tensor, bias: T.Tensor, reverse: bool):
+        proj = T.take_cols(T.matmul(wx, g_real), scatter)
+        return _lstm_direction(proj, batch, steps, lengths, wh, bias, reverse)
+
+    forward_h = direction(params.lstm_fw_wx, params.lstm_fw_wh, params.lstm_fw_b, False)
+    backward_h = direction(params.lstm_bw_wx, params.lstm_bw_wh, params.lstm_bw_b, True)
     return [T.concat_rows(forward_h[t], backward_h[t]) for t in range(steps)]
 
 
@@ -253,7 +281,7 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
         raise InputError("forward_batch needs at least one sample")
     batch = len(samples)
 
-    acoustic = [acoustic_encode(T.Tensor(s.features), params) for s in samples]
+    acoustic = acoustic_encode_batch([T.Tensor(s.features) for s in samples], params)
     semantic = [T.linear(T.Tensor(s.token_vectors), params.sem_w, params.sem_b)
                 for s in samples]
 

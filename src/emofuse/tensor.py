@@ -5,17 +5,28 @@ result eagerly with numpy and, when any input requires gradients, attaches
 a closure that pushes the output gradient back to its parents. ``backward``
 walks the resulting graph once, in reverse topological order.
 
+Besides the generic algebra, two fused ops carry the model's hot loops:
+``conv1d_same`` is one im2col matmul forward and one transposed-conv matmul
+backward, and ``lstm_cell`` is a whole LSTM step (gates, cell update and
+the carry of padded columns) with a hand-written backward, fed by an input
+projection computed once for all steps.
+
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
-    per-column bias of ``linear``/``add_bias``. Other mismatches raise
-    ``DimensionError`` to catch wiring bugs early.
+    per-column bias of ``linear``/``add_bias``/``lstm_cell``. Other
+    mismatches raise ``DimensionError`` to catch wiring bugs early.
   - Default dtype is float32; gradient checking runs under ``precision(64)``.
   - A graph belongs to one thread; independent graphs may run in parallel.
+    The default dtype and the finite-check switch are context variables,
+    so ``precision`` in one thread never changes another thread's tensors;
+    a thread that does not inherit its starter's context begins with the
+    defaults (float32, checks on).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +54,8 @@ __all__ = [
     "add_bias",
     "scale",
     "concat_rows",
+    "concat_cols",
+    "take_cols",
     "slice_rows",
     "slice_cols",
     "reshape",
@@ -53,43 +66,50 @@ __all__ = [
     "pad_stack_time_major",
     "softmax_columns",
     "cross_entropy",
+    "lstm_cell",
     "backward",
     "zero_grads",
 ]
 
 _DTYPES = {32: np.float32, 64: np.float64}
-_state = {"dtype": np.float32, "finite_checks": True}
+_dtype: ContextVar[type] = ContextVar("emofuse_dtype", default=np.float32)
+_finite_checks: ContextVar[bool] = ContextVar("emofuse_finite_checks", default=True)
+
+
+def _bits_to_dtype(bits: int) -> type:
+    if bits not in _DTYPES:
+        raise ValueError(f"precision must be 32 or 64, got {bits!r}")
+    return _DTYPES[bits]
 
 
 def set_default_dtype(bits: int) -> None:
-    """Set the dtype used for newly created tensors (32 or 64)."""
-    if bits not in _DTYPES:
-        raise ValueError(f"precision must be 32 or 64, got {bits!r}")
-    _state["dtype"] = _DTYPES[bits]
+    """Set the dtype used for newly created tensors (32 or 64) in the
+    current context (thread)."""
+    _dtype.set(_bits_to_dtype(bits))
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_state["dtype"])
+    return np.dtype(_dtype.get())
 
 
 @contextmanager
 def precision(bits: int):
-    """Temporarily switch the default tensor dtype."""
-    prev = _state["dtype"]
-    set_default_dtype(bits)
+    """Temporarily switch the default tensor dtype of the current context."""
+    token = _dtype.set(_bits_to_dtype(bits))
     try:
         yield
     finally:
-        _state["dtype"] = prev
+        _dtype.reset(token)
 
 
 def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/inf assertion applied to every op output."""
-    _state["finite_checks"] = bool(enabled)
+    """Toggle the NaN/inf assertion applied to every op output in the
+    current context (thread)."""
+    _finite_checks.set(bool(enabled))
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not _state["finite_checks"]:
+    if not _finite_checks.get():
         return
     # cheap reduction first; a finite sum implies all entries are finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,7 +125,7 @@ class Tensor:
                  "_backward_done", "_softmax_src")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_state["dtype"])
+        self.data = np.asarray(data, dtype=_dtype.get())
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -152,11 +172,11 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_state["dtype"]), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=_dtype.get()), requires_grad=requires_grad)
 
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=_state["dtype"]), requires_grad=requires_grad)
+    return Tensor(np.full(shape, value, dtype=_dtype.get()), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -241,35 +261,44 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv1d_same bias shape {bias.shape} does not match cout {cout}")
 
     pad_left = (k - 1) // 2
-    xp = np.zeros((cin, n + k - 1), dtype=x.data.dtype)
-    xp[:, pad_left:pad_left + n] = x.data
-    # im2col: cols[c*k + j, t] = xp[c, t + j]
-    s0, s1 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(xp, shape=(cin, k, n), strides=(s0, s1, s1))
-    cols = windows.reshape(cin * k, n)
+    xp = _pad_cols(x.data, pad_left, k - 1 - pad_left)
     w2 = filters.data.reshape(cout, cin * k)
-    out_data = w2 @ cols + bias.data[:, None]
+    out_data = w2 @ _im2col(xp, k, n) + bias.data[:, None]
 
     def grad_fn(g: np.ndarray) -> None:
         if filters.requires_grad:
-            filters.grad += (g @ cols.T).reshape(cout, cin, k)
+            # rebuilt here rather than kept from the forward pass: the
+            # [cin·k × n] copy would otherwise live as long as the graph
+            filters.grad += (g @ _im2col(xp, k, n).T).reshape(cout, cin, k)
         if bias.requires_grad:
             bias.grad += g.sum(axis=1)
         if x.requires_grad:
-            dcols = (w2.T @ g).reshape(cin, k, n)
-            dxp = np.zeros_like(xp)
-            for j in range(k):
-                dxp[:, j:j + n] += dcols[:, j, :]
-            x.grad += dxp[:, pad_left:pad_left + n]
+            # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
+            # with g padded by the mirrored amounts
+            w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+            gp = _pad_cols(g, k - 1 - pad_left, pad_left)
+            x.grad += w_flip @ _im2col(gp, k, n)
 
     return _result(out_data, (x, filters, bias), grad_fn, "conv1d_same")
+
+
+def _pad_cols(a: np.ndarray, left: int, right: int) -> np.ndarray:
+    out = np.zeros((a.shape[0], left + a.shape[1] + right), dtype=a.dtype)
+    out[:, left:left + a.shape[1]] = a
+    return out
+
+
+def _im2col(ap: np.ndarray, k: int, n: int) -> np.ndarray:
+    """cols[c·k + j, t] = ap[c, t + j] for a padded ap [c × (n + k − 1)]."""
+    s0, s1 = ap.strides
+    windows = np.lib.stride_tricks.as_strided(ap, shape=(ap.shape[0], k, n), strides=(s0, s1, s1))
+    return windows.reshape(ap.shape[0] * k, n)
 
 
 def elementwise(x: Tensor, kind: str) -> Tensor:
     """Pointwise sigmoid, tanh or relu."""
     if kind == "sigmoid":
-        z = np.exp(-np.abs(x.data))
-        y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        y = _sigmoid(x.data)
 
         def grad_fn(g: np.ndarray) -> None:
             x.grad += g * y * (1.0 - y)
@@ -289,6 +318,15 @@ def elementwise(x: Tensor, kind: str) -> Tensor:
     else:
         raise ValueError(f"unknown elementwise kind {kind!r}")
     return _result(y, (x,), grad_fn, kind)
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function as ½·tanh(a/2) + ½: one bounded transcendental
+    pass, with no exponential that can overflow."""
+    y = np.tanh(0.5 * a)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -360,23 +398,52 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def concat_rows(*tensors: Tensor) -> Tensor:
     """Stack tensors vertically; all must share the column count."""
+    return _concat(tensors, 0, "concat_rows")
+
+
+def concat_cols(*tensors: Tensor) -> Tensor:
+    """Place tensors side by side; all must share the row count."""
+    return _concat(tensors, 1, "concat_cols")
+
+
+def _concat(tensors: tuple[Tensor, ...], axis: int, name: str) -> Tensor:
     if len(tensors) < 2:
-        raise ValueError("concat_rows needs at least two tensors")
-    cols = tensors[0].shape[-1]
+        raise ValueError(f"{name} needs at least two tensors")
     for t in tensors:
-        _need_2d(t, "concat_rows")
-        if t.shape[1] != cols:
-            raise DimensionError(
-                f"concat_rows column counts differ: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
+        _need_2d(t, name)
+        if t.shape[1 - axis] != tensors[0].shape[1 - axis]:
+            kept = "column" if axis == 0 else "row"
+            raise DimensionError(f"{name} {kept} counts differ: {[t.shape for t in tensors]}")
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def grad_fn(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t.grad += g[lo:hi, :]
+                t.grad += g[lo:hi] if axis == 0 else g[:, lo:hi]
 
-    return _result(out_data, tuple(tensors), grad_fn, "concat_rows")
+    return _result(out_data, tuple(tensors), grad_fn, name)
+
+
+def take_cols(x: Tensor, cols: Sequence[int]) -> Tensor:
+    """Columns of x [d×n] in the order listed; an index of −1 yields a zero
+    column. Gathers a subset of columns, or scatters a narrow matrix into a
+    wider layout. Indices other than −1 must be distinct."""
+    _need_2d(x, "take_cols")
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.ndim != 1 or cols.size == 0 or cols.min() < -1 or cols.max() >= x.shape[1]:
+        raise ValueError(f"take_cols indices out of range for shape {x.shape}")
+    real = cols >= 0
+    src = cols[real]
+    if np.unique(src).size != src.size:
+        raise ValueError("take_cols indices must be distinct")
+    out_data = np.zeros((x.shape[0], cols.size), dtype=x.data.dtype)
+    out_data[:, real] = x.data[:, src]
+
+    def grad_fn(g: np.ndarray) -> None:
+        x.grad[:, src] += g[:, real]
+
+    return _result(out_data, (x,), grad_fn, "take_cols")
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -563,8 +630,72 @@ def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
     return _result(out_data, parents, grad_fn, "cross_entropy")
 
 
+def lstm_cell(x_proj: Tensor, state: Tensor, w_h: Tensor, bias: Tensor,
+              valid: np.ndarray) -> Tensor:
+    """One LSTM step for a batch of B sequences; returns the new [h; c].
+
+    x_proj [4H×B] is W_x·x_t, computed for all steps beforehand; state
+    [2H×B] stacks the previous h over the previous c; w_h [4H×H] and bias
+    [4H] complete the pre-activation (W_x·x + W_h·h) + b, whose row blocks
+    are the input, forget, candidate and output gates. Only the columns
+    where valid[b] holds are computed; every other column carries its state
+    unchanged, which keeps padded steps invisible.
+    """
+    _need_2d(x_proj, "lstm_cell")
+    _need_2d(state, "lstm_cell")
+    _need_2d(w_h, "lstm_cell")
+    hidden2, batch = state.shape
+    hidden = hidden2 // 2
+    if hidden < 1 or hidden2 != 2 * hidden:
+        raise DimensionError(f"lstm_cell state must stack h over c, got {state.shape}")
+    if x_proj.shape != (4 * hidden, batch) or w_h.shape != (4 * hidden, hidden):
+        raise DimensionError(f"lstm_cell shapes disagree: x_proj {x_proj.shape}, "
+                             f"state {state.shape}, w_h {w_h.shape}")
+    if bias.data.ndim != 1 or bias.shape[0] != 4 * hidden:
+        raise DimensionError(f"lstm_cell bias shape {bias.shape} does not match w_h {w_h.shape}")
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != (batch,):
+        raise DimensionError(f"lstm_cell valid mask shape {valid.shape}, expected ({batch},)")
+
+    cols = np.flatnonzero(valid)
+    h, c = state.data[:hidden, cols], state.data[hidden:, cols]
+    pre = (x_proj.data[:, cols] + w_h.data @ h) + bias.data[:, None]
+    gate_in = _sigmoid(pre[:hidden])
+    gate_forget = _sigmoid(pre[hidden:2 * hidden])
+    candidate = np.tanh(pre[2 * hidden:3 * hidden])
+    gate_out = _sigmoid(pre[3 * hidden:])
+    c_new = gate_in * candidate + gate_forget * c
+    tanh_c = np.tanh(c_new)
+    out_data = state.data.copy()
+    out_data[:hidden, cols] = gate_out * tanh_c
+    out_data[hidden:, cols] = c_new
+
+    def grad_fn(g: np.ndarray) -> None:
+        g_h, g_c = g[:hidden, cols], g[hidden:, cols]
+        d_c = g_c + g_h * gate_out * (1.0 - tanh_c * tanh_c)
+        d_pre = np.concatenate([
+            d_c * candidate * gate_in * (1.0 - gate_in),
+            d_c * c * gate_forget * (1.0 - gate_forget),
+            d_c * gate_in * (1.0 - candidate * candidate),
+            g_h * tanh_c * gate_out * (1.0 - gate_out),
+        ])
+        if x_proj.requires_grad:
+            x_proj.grad[:, cols] += d_pre
+        if w_h.requires_grad:
+            w_h.grad += d_pre @ h.T
+        if bias.requires_grad:
+            bias.grad += d_pre.sum(axis=1)
+        if state.requires_grad:
+            d_state = g.copy()                  # padded columns: carried as is
+            d_state[:hidden, cols] = w_h.data.T @ d_pre
+            d_state[hidden:, cols] = d_c * gate_forget
+            state.grad += d_state
+
+    return _result(out_data, (x_proj, state, w_h, bias), grad_fn, "lstm_cell")
+
+
 def one_hot(label: int, n_classes: int) -> np.ndarray:
-    vec = np.zeros(n_classes, dtype=_state["dtype"])
+    vec = np.zeros(n_classes, dtype=_dtype.get())
     vec[label] = 1.0
     return vec
 

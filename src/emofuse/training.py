@@ -185,18 +185,19 @@ def _source_key(record: UtteranceRecord) -> tuple[int, int, int, int]:
 
 
 def gather_features(records: Sequence[UtteranceRecord],
-                    cache: dict[tuple, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Raw feature matrices per record id; the cache, keyed by feature
-    source file, persists across folds, modes and datasets."""
-    out: dict[str, np.ndarray] = {}
+                    cache: dict[tuple, np.ndarray] | None = None) -> list[np.ndarray]:
+    """Raw feature matrices in record order (ids need not be unique); the
+    cache, keyed by feature source file, persists across folds, modes and
+    datasets."""
+    out: list[np.ndarray] = []
     for record in records:
         if cache is None:
-            out[record.id] = load_record_features(record)
+            out.append(load_record_features(record))
             continue
         key = _source_key(record)
         if key not in cache:
             cache[key] = load_record_features(record)
-        out[record.id] = cache[key]
+        out.append(cache[key])
     return out
 
 
@@ -210,9 +211,10 @@ def feature_stats(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 
 def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
                 stats: tuple[np.ndarray, np.ndarray] | None,
-                features: dict[str, np.ndarray]) -> list[PreparedSample]:
-    return [prepare_record(r, table, stats=stats, features=features[r.id])
-            for r in records]
+                features: Sequence[np.ndarray]) -> list[PreparedSample]:
+    """Model-ready samples; features[i] belongs to records[i]."""
+    return [prepare_record(r, table, stats=stats, features=f)
+            for r, f in zip(records, features, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
         raise InputError("training set is empty")
     mode = M.FusionMode.parse(config.fusion_mode)
     raw = gather_features(records, feature_cache)
-    stats = feature_stats([raw[r.id] for r in records])
+    stats = feature_stats(raw)
 
     with T.precision(config.precision):
         prepared = prepare_all(records, table, stats, raw)

@@ -68,6 +68,34 @@ class TestAcousticEncode:
         out = M.acoustic_encode(T.Tensor(rng.standard_normal((34, 20))), M.ModelParams.zeros())
         np.testing.assert_array_equal(out.data, 0.0)
 
+    def test_packed_batch_matches_one_at_a_time(self, params, rng):
+        # lengths below, near and far above the widest kernel (20) in one batch
+        with T.precision(64):
+            xs = [T.Tensor(rng.standard_normal((34, n))) for n in (1, 3, 19, 80)]
+            packed = M.acoustic_encode_batch(xs, params)
+            for x, out in zip(xs, packed):
+                assert out.shape == (128, x.shape[1])
+                np.testing.assert_allclose(out.data, M.acoustic_encode(x, params).data,
+                                           rtol=0, atol=1e-12)
+
+    def test_packed_gradients_match_one_at_a_time(self, params, rng):
+        with T.precision(64):
+            feats = [rng.standard_normal((34, n)) for n in (2, 25)]
+            weights = [rng.standard_normal((128, n)) for n in (2, 25)]
+
+            def conv1_grad(encode):
+                trial = dataclasses.replace(params, conv1_w=T.Tensor(params.conv1_w.data,
+                                                                     requires_grad=True))
+                outs = encode([T.Tensor(f) for f in feats], trial)
+                total = T.sum_all(T.concat_cols(*[T.hadamard(o, T.Tensor(w))
+                                                  for o, w in zip(outs, weights)]))
+                T.backward(total)
+                return trial.conv1_w.grad
+
+            packed = conv1_grad(M.acoustic_encode_batch)
+            single = conv1_grad(lambda xs, p: [M.acoustic_encode(x, p) for x in xs])
+            np.testing.assert_allclose(packed, single, rtol=0, atol=1e-10)
+
 
 class TestSemanticEncode:
     def test_all_oov_zero_bias(self):
@@ -183,6 +211,14 @@ class TestForward:
     def test_empty_batch_rejected(self, params):
         with pytest.raises(InputError):
             M.forward_batch([], params, "tempalign")
+
+
+class TestModelGradient:
+    @pytest.mark.parametrize("mode", [m.value for m in M.FusionMode])
+    def test_every_fusion_mode_passes_gradcheck(self, mode):
+        from emofuse.gradcheck import MODEL_TOLERANCE, check_model
+        for seed in (0, 1):
+            assert check_model(seed=seed, mode=mode) <= MODEL_TOLERANCE
 
 
 class TestShapeLedger:

@@ -322,3 +322,87 @@ class TestPrecisionConfig:
     def test_invalid_precision(self):
         with pytest.raises(ValueError):
             T.set_default_dtype(16)
+
+    def test_precision_does_not_leak_across_threads(self):
+        import threading
+
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def holder():
+            with T.precision(64):
+                entered.set()
+                checked.wait(timeout=10)
+                seen["holder"] = T.Tensor([1.0]).data.dtype
+
+        def other():
+            entered.wait(timeout=10)
+            seen["other"] = T.Tensor([1.0]).data.dtype
+            checked.set()
+
+        threads = [threading.Thread(target=holder), threading.Thread(target=other)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"holder": np.float64, "other": np.float32}
+
+
+class TestColumnOps:
+    def test_concat_cols(self):
+        out = T.concat_cols(T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0, 4.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(out.data, [[1, 3, 4], [2, 5, 6]])
+
+    def test_concat_cols_row_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.concat_cols(T.zeros((2, 1)), T.zeros((3, 1)))
+
+    def test_take_cols_gathers_and_fills_zero(self):
+        x = T.Tensor([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(T.take_cols(x, [2, -1, 0]).data, [[3, 0, 1]])
+
+    def test_take_cols_rejects_repeats_and_range(self):
+        x = T.zeros((1, 3))
+        for cols in ([0, 0], [3], [-2]):
+            with pytest.raises(ValueError):
+                T.take_cols(x, cols)
+
+
+def lstm_step_reference(x_proj, state, w_h, bias):
+    """Plain numpy LSTM step: gates i, f, g, o from (x_proj + W_h·h) + b."""
+    hidden = state.shape[0] // 2
+    h, c = state[:hidden], state[hidden:]
+    pre = (x_proj + w_h @ h) + bias[:, None]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    i, f = sig(pre[:hidden]), sig(pre[hidden:2 * hidden])
+    g, o = np.tanh(pre[2 * hidden:3 * hidden]), sig(pre[3 * hidden:])
+    c_new = i * g + f * c
+    return np.concatenate([o * np.tanh(c_new), c_new])
+
+
+class TestLstmCell:
+    def _args(self, hidden=3, batch=4, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((4 * hidden, batch)), rng.standard_normal((2 * hidden, batch)),
+                rng.standard_normal((4 * hidden, hidden)), rng.standard_normal(4 * hidden))
+
+    def test_valid_columns_match_reference(self, f64):
+        args = self._args()
+        out = T.lstm_cell(*map(T.Tensor, args), np.ones(4, dtype=bool))
+        np.testing.assert_allclose(out.data, lstm_step_reference(*args), rtol=0, atol=1e-14)
+
+    def test_padded_columns_carry_state_exactly(self, f64):
+        args = self._args()
+        valid = np.array([True, False, True, False])
+        out = T.lstm_cell(*map(T.Tensor, args), valid)
+        np.testing.assert_array_equal(out.data[:, ~valid], args[1][:, ~valid])
+        np.testing.assert_allclose(out.data[:, valid], lstm_step_reference(*args)[:, valid],
+                                   rtol=0, atol=1e-14)
+
+    def test_shape_mismatch(self):
+        x_proj, state, w_h, bias = map(T.Tensor, self._args())
+        with pytest.raises(DimensionError):
+            T.lstm_cell(x_proj, state, w_h, bias, np.ones(3, dtype=bool))
+        with pytest.raises(DimensionError):
+            T.lstm_cell(T.slice_rows(x_proj, 0, 8), state, w_h, bias, np.ones(4, dtype=bool))

@@ -25,8 +25,28 @@ class TestGatherFeatures:
         cache = {}
         training.gather_features(first, cache)
         got = training.gather_features(second, cache)
-        for record in second:
-            np.testing.assert_array_equal(got[record.id], data.load_record_features(record))
+        for record, features in zip(second, got, strict=True):
+            np.testing.assert_array_equal(features, data.load_record_features(record))
+
+    def test_colliding_ids_within_one_call_keep_their_own_features(self, tmp_path):
+        first = data.synth_dataset(tmp_path / "a", n_per_class=1, seed=1).records
+        second = data.synth_dataset(tmp_path / "b", n_per_class=1, seed=2).records
+        records = first + second
+        for cache in (None, {}):
+            got = training.gather_features(records, cache)
+            assert len(got) == len(records)
+            for record, features in zip(records, got):
+                np.testing.assert_array_equal(features, data.load_record_features(record))
+
+    def test_predict_scores_each_colliding_record_on_its_own_features(self, tmp_path, sanity_set):
+        _, table = sanity_set
+        first = data.synth_dataset(tmp_path / "a", n_per_class=1, seed=1).records
+        second = data.synth_dataset(tmp_path / "b", n_per_class=1, seed=2).records
+        config = training.TrainConfig(epochs=1, batch_size=4)
+        checkpoint, _ = training.train_fold(first, config, table)
+        _, together = training.predict(checkpoint, first + second, table, feature_cache={})
+        _, alone = training.predict(checkpoint, first, table)
+        np.testing.assert_allclose(together[:len(first)], alone, atol=1e-6)
 
     def test_repeat_requests_hit_the_cache(self, sanity_set, monkeypatch):
         records, _ = sanity_set
@@ -37,7 +57,7 @@ class TestGatherFeatures:
                             lambda record: loads.append(record) or data.load_record_features(record))
         again = training.gather_features(records, cache)
         assert loads == []
-        assert all(again[r.id] is first[r.id] for r in records)
+        assert all(a is b for a, b in zip(again, first, strict=True))
 
 
 class TestAdamStep:
