@@ -19,7 +19,7 @@ from .gradcheck import check_all_ops, check_model, grad_check
 from .model import (Checkpoint, FusionMode, ModelParams, acoustic_encode,
                     cross_modality_excite, forward, forward_batch, init_params,
                     load_checkpoint, loss, save_checkpoint, semantic_encode)
-from .tensor import Tensor, backward, precision, set_default_dtype
+from .tensor import Tensor, backward, precision
 from .training import (CrossValReport, EvalReport, TrainConfig, adam_step,
                        cross_validate, evaluate, run_ablation, train_fold)
 
@@ -39,7 +39,7 @@ __all__ = [
     "Checkpoint", "FusionMode", "ModelParams", "acoustic_encode",
     "cross_modality_excite", "forward", "forward_batch", "init_params",
     "load_checkpoint", "loss", "save_checkpoint", "semantic_encode",
-    "Tensor", "backward", "precision", "set_default_dtype",
+    "Tensor", "backward", "precision",
     "CrossValReport", "EvalReport", "TrainConfig", "adam_step",
     "cross_validate", "evaluate", "run_ablation", "train_fold",
     "__version__",

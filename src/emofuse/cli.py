@@ -50,8 +50,10 @@ def _resolve_config(args: argparse.Namespace) -> training.TrainConfig:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise EmofuseError(f"malformed config file {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise EmofuseError(f"config file {config_path} must hold a JSON object")
         unknown = set(loaded) - set(values)
         if unknown:
             raise EmofuseError(f"unknown config keys in {config_path}: {sorted(unknown)}")

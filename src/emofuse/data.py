@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import struct
 from dataclasses import dataclass, field
@@ -45,6 +46,9 @@ class UtteranceRecord:
         if (self.audio_path is None) == (self.features_path is None):
             raise InputError(
                 f"record {self.id!r} must set exactly one of audio_path/features_path")
+        source = self.features_path if self.audio_path is None else self.audio_path
+        if not isinstance(source, str):
+            raise InputError(f"record {self.id!r} has a source path that is not a string")
         if not self.words:
             raise InputError(f"record {self.id!r} has no words")
         if not 0 <= self.label < len(EMOTIONS):
@@ -69,42 +73,52 @@ def save_manifest(records: Sequence[UtteranceRecord], path) -> None:
             fh.write(_record_to_json(record) + "\n")
 
 
+def _text_lines(path):
+    """(line number, text) for each line of a UTF-8 file; a line that does
+    not decode raises InputError naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def load_manifest(path) -> list[UtteranceRecord]:
     """Parse and validate a manifest; raises InputError naming the bad line."""
     path = Path(path)
     base = path.parent
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+            words = [WordSpan(str(t), int(s), int(e)) for t, s, e in payload["words"]]
+            record = UtteranceRecord(
+                id=str(payload["id"]),
+                words=words,
+                label=int(payload["label"]),
+                audio_path=payload.get("audio_path"),
+                features_path=payload.get("features_path"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}:{lineno}: invalid record ({exc})") from exc
+        if record.id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate record id {record.id!r}")
+        seen.add(record.id)
+        for attr in ("audio_path", "features_path"):
+            value = getattr(record, attr)
+            if value is None:
                 continue
-            try:
-                payload = json.loads(line)
-                words = [WordSpan(str(t), int(s), int(e)) for t, s, e in payload["words"]]
-                record = UtteranceRecord(
-                    id=str(payload["id"]),
-                    words=words,
-                    label=int(payload["label"]),
-                    audio_path=payload.get("audio_path"),
-                    features_path=payload.get("features_path"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: invalid record ({exc})") from exc
-            if record.id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-            seen.add(record.id)
-            for attr in ("audio_path", "features_path"):
-                value = getattr(record, attr)
-                if value is None:
-                    continue
-                if not Path(value).is_absolute():
-                    value = str(base / value)
-                    setattr(record, attr, value)
-                if not Path(value).is_file():
-                    raise InputError(f"{path}:{lineno}: referenced file {value} does not exist")
-            records.append(record)
+            if not Path(value).is_absolute():
+                value = str(base / value)
+                setattr(record, attr, value)
+            if not Path(value).is_file():
+                raise InputError(f"{path}:{lineno}: referenced file {value} does not exist")
+        records.append(record)
     if not records:
         logger.warning("manifest %s is empty", path)
     return records
@@ -157,20 +171,21 @@ class EmbeddingTable:
 def load_embeddings(path, dimension: int = EMBEDDING_DIM) -> EmbeddingTable:
     """Read a text table: one line per token, token then `dimension` floats."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dimension:
-                raise InputError(
-                    f"{path}:{lineno}: token {token!r} has {len(values)} values, "
-                    f"expected {dimension}")
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dimension:
+            raise InputError(
+                f"{path}:{lineno}: token {token!r} has {len(values)} values, "
+                f"expected {dimension}")
+        try:
+            vectors[token] = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+        if not np.all(np.isfinite(vectors[token])):
+            raise InputError(f"{path}:{lineno}: token {token!r} has a non-finite value")
     return EmbeddingTable(vectors, dimension)
 
 
@@ -236,24 +251,32 @@ def save_array(path, array: np.ndarray) -> None:
 
 
 def load_array(path) -> np.ndarray:
+    """Read a tensor file; truncated, oversized, corrupt or non-finite
+    content raises InputError."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise InputError(f"{path}: truncated tensor file")
-        magic, version, code, rank = struct.unpack("<4sIII", head)
-        if magic != _TENSOR_MAGIC:
-            raise InputError(f"{path}: not a tensor file (bad magic {magic!r})")
-        if version != _TENSOR_VERSION:
-            raise InputError(f"{path}: unsupported tensor file version {version}")
-        if code not in _DTYPE_TAGS or rank > 8:
-            raise InputError(f"{path}: corrupt tensor header")
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        count = int(np.prod(dims)) if dims else 1
-        dtype = np.dtype(_DTYPE_TAGS[code])
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise InputError(f"{path}: truncated tensor payload")
-        return np.frombuffer(payload, dtype=dtype).reshape(dims).astype(np.float64)
+        blob = fh.read()
+    if len(blob) < 16:
+        raise InputError(f"{path}: truncated tensor file")
+    magic, version, code, rank = struct.unpack_from("<4sIII", blob)
+    if magic != _TENSOR_MAGIC:
+        raise InputError(f"{path}: not a tensor file (bad magic {magic!r})")
+    if version != _TENSOR_VERSION:
+        raise InputError(f"{path}: unsupported tensor file version {version}")
+    if code not in _DTYPE_TAGS or rank > 8:
+        raise InputError(f"{path}: corrupt tensor header")
+    start = 16 + 4 * rank
+    if len(blob) < start:
+        raise InputError(f"{path}: truncated tensor header")
+    dims = struct.unpack_from(f"<{rank}I", blob, 16)
+    dtype = np.dtype(_DTYPE_TAGS[code])
+    expected = math.prod(dims) * dtype.itemsize
+    if len(blob) - start != expected:
+        raise InputError(f"{path}: truncated or oversized tensor payload "
+                         f"({len(blob) - start} bytes, the header says {expected})")
+    array = np.frombuffer(blob, dtype=dtype, offset=start).reshape(dims).astype(np.float64)
+    if not np.all(np.isfinite(array)):
+        raise InputError(f"{path}: tensor holds non-finite values")
+    return array
 
 
 # ---------------------------------------------------------------------------

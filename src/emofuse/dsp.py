@@ -74,10 +74,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise InputError(f"sample rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class FrameFeatureMatrix:
@@ -108,14 +104,16 @@ def read_wav(path) -> AudioClip:
             width = wav.getsampwidth()
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise InputError(f"not a readable WAV file: {path} ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past the end
+        raise InputError(f"not a readable WAV file: {path} ({exc!r})") from exc
     if channels != 1:
         raise InputError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise InputError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz; resample first")
+    if len(raw) % 2:
+        raise InputError(f"{path}: truncated inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples, rate)
 

@@ -46,20 +46,9 @@ class EmotionRecognizer(ParamsMixin):
         self.pool_mode = pool_mode
 
     def _config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            learning_rate=self.learning_rate,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            fusion_mode=self.fusion_mode,
-            loss_reduction=self.loss_reduction,
-            precision=self.precision,
-            clip_norm=self.clip_norm,
-            pool_mode=self.pool_mode,
-        ).validate()
+        return training.TrainConfig(**{f.name: getattr(self, f.name)
+                                       for f in dataclasses.fields(training.TrainConfig)}
+                                    ).validate()
 
     def _cache(self) -> dict:
         if not hasattr(self, "_feature_cache"):
@@ -75,6 +64,9 @@ class EmotionRecognizer(ParamsMixin):
         table = ensure_embedding_table(self.embeddings)
         checkpoint, curve = training.train_fold(records, self._config(), table,
                                                 feature_cache=self._cache())
+        return self._set_fitted(checkpoint, curve)
+
+    def _set_fitted(self, checkpoint: M.Checkpoint, curve: list[float]) -> "EmotionRecognizer":
         self.checkpoint_ = checkpoint
         self.loss_curve_ = curve
         self.feature_mean_ = checkpoint.feature_mean
@@ -84,12 +76,8 @@ class EmotionRecognizer(ParamsMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "checkpoint_")
-        records = check_records(X)
-        table = ensure_embedding_table(self.embeddings)
-        labels, _ = training.predict(self.checkpoint_, records, table,
-                                     feature_cache=self._cache())
-        return labels
+        """Most probable class per record; ties go to the lowest class."""
+        return self.predict_proba(X).argmax(axis=1)
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "checkpoint_")
@@ -125,13 +113,7 @@ class EmotionRecognizer(ParamsMixin):
         estimator = cls(embeddings=embeddings,
                         fusion_mode=checkpoint.fusion_mode.value,
                         pool_mode=checkpoint.pool_mode)
-        estimator.checkpoint_ = checkpoint
-        estimator.loss_curve_ = []
-        estimator.feature_mean_ = checkpoint.feature_mean
-        estimator.feature_std_ = checkpoint.feature_std
-        estimator.classes_ = np.arange(M.N_CLASSES)
-        estimator.emotion_labels_ = EMOTIONS
-        return estimator
+        return estimator._set_fitted(checkpoint, [])
 
 
 class LowLevelFeatureExtractor(ParamsMixin):

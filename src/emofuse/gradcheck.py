@@ -130,15 +130,8 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, T.Tensor]]:
     d3 = (shape[0], max(2, shape[1]))
     cases.append(("slice_cols", lambda x: T.sum_all(T.sigmoid(T.slice_cols(x, 1, d3[1]))),
                   T.Tensor(rng.standard_normal(d3))))
-    cases.append(("reshape", lambda x: T.sum_all(T.sigmoid(T.reshape(x, (x.size, 1)))),
-                  T.Tensor(rng.standard_normal(shape))))
     cases.append(("mean_cols", lambda x: T.sum_all(T.sigmoid(T.mean_cols(x))),
                   T.Tensor(rng.standard_normal(shape))))
-
-    pool_shape = (dim(), max(2, dim()))
-    valid = int(rng.integers(1, pool_shape[1] + 1))
-    cases.append(("maxpool_time", lambda h: T.sum_all(T.reshape(T.maxpool_time(h, valid), (pool_shape[0], 1))),
-                  T.Tensor(_distinct(rng, pool_shape))))
 
     batch, steps_n = dim(), max(2, dim())
     lengths = [int(rng.integers(1, steps_n + 1)) for _ in range(batch)]

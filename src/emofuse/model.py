@@ -14,9 +14,12 @@ Shape ledger: 34×n → CNN → 128×n → alignment → 128×m → gate → 128
 concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
 
 Batching packs the frames of a mini-batch side by side for one CNN pass,
-then pads every utterance to the longest word count; valid-length masks
-keep the LSTM states and the max-pool blind to padding, so padded and
-unpadded forwards agree exactly.
+and the word columns of all utterances side by side, one sequence after
+another, for the gate, the concat and the BiLSTM input projection. Padding
+exists only in the time-major projection the LSTM steps walk: each step
+reads one column per sequence, and valid-length masks keep the LSTM states
+and the max-pool blind to padded steps, so padded and unpadded forwards
+agree exactly.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class FusionMode(str, Enum):
             return value
         try:
             return cls(value.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise InputError(
                 f"unknown fusion mode {value!r}; pick one of "
                 f"{[m.value for m in cls]}") from None
@@ -129,10 +132,6 @@ class ModelParams:
     def zero_grad(self) -> None:
         for t in self.tensors():
             t.zero_grad()
-
-    @property
-    def n_params(self) -> int:
-        return EXPECTED_PARAM_COUNT
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], requires_grad: bool = True):
@@ -232,36 +231,28 @@ def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
     return T.hadamard(gate, z_a2)
 
 
-def _lstm_direction(proj: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
-                    wh: T.Tensor, bias: T.Tensor, reverse: bool) -> list[T.Tensor]:
-    """Hidden states [H×B] per step; proj [4H × steps·B] holds W_x·x for
-    every step, time-major, so one fused cell per step adds the rest."""
-    hidden = LSTM_HIDDEN
-    state = T.zeros((2 * hidden, batch))
-    outputs: list[T.Tensor | None] = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        x_t = T.slice_cols(proj, t * batch, (t + 1) * batch)
-        state = T.lstm_cell(x_t, state, wh, bias, lengths > t)
-        outputs[t] = T.slice_rows(state, 0, hidden)
-    return outputs
-
-
 def _bilstm(g: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
             params: ModelParams) -> list[T.Tensor]:
-    # The input projection of each direction is one matmul over the real
-    # (step, sequence) columns only, scattered back to the time-major
-    # layout: a product that also covered padding columns would change
-    # with the padding amount in the last float32 bit.
-    real = (np.arange(steps)[:, None] < lengths[None, :]).reshape(-1)
-    real_cols = np.flatnonzero(real)
-    scatter = np.full(real.size, -1, dtype=np.int64)
-    scatter[real_cols] = np.arange(real_cols.size)
-    g_real = T.take_cols(g, real_cols)
+    """Per-step [400×B] states for g [256 × Σ lengths], whose columns hold
+    the sequences one after another. Each direction's input projection is
+    one matmul over those real columns, scattered into the time-major
+    layout: column t·B + b reads sequence b's step t, or zeros once
+    t ≥ lengths[b]. A product that also covered padding columns would
+    change with the padding amount in the last float32 bit. Then one fused
+    cell per step adds W_h·h + b and the gates."""
+    starts = np.cumsum(lengths) - lengths
+    step = np.arange(steps)[:, None]
+    scatter = np.where(step < lengths[None, :], starts[None, :] + step, -1).reshape(-1)
 
     def direction(wx: T.Tensor, wh: T.Tensor, bias: T.Tensor, reverse: bool):
-        proj = T.take_cols(T.matmul(wx, g_real), scatter)
-        return _lstm_direction(proj, batch, steps, lengths, wh, bias, reverse)
+        proj = T.take_cols(T.matmul(wx, g), scatter)
+        state = T.zeros((2 * LSTM_HIDDEN, batch))
+        hidden: list[T.Tensor | None] = [None] * steps
+        for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+            x_t = T.slice_cols(proj, t * batch, (t + 1) * batch)
+            state = T.lstm_cell(x_t, state, wh, bias, lengths > t)
+            hidden[t] = T.slice_rows(state, 0, LSTM_HIDDEN)
+        return hidden
 
     forward_h = direction(params.lstm_fw_wx, params.lstm_fw_wh, params.lstm_fw_b, False)
     backward_h = direction(params.lstm_bw_wx, params.lstm_bw_wh, params.lstm_bw_b, True)
@@ -273,7 +264,7 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
                   pool_mode: str = "sum") -> T.Tensor:
     """Class probabilities [4 × B] for a batch of prepared samples.
 
-    Sequences are padded to the longest word count in the batch (or pad_to);
+    The LSTM steps walk the longest word count in the batch (or pad_to);
     masks make the result independent of the padding amount.
     """
     mode = FusionMode.parse(mode)
@@ -296,13 +287,12 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
         steps = int(pad_to) if pad_to is not None else int(lengths.max())
         if steps < lengths.max():
             raise InputError(f"pad_to={steps} is below the longest word count {lengths.max()}")
-        pooled = [temporal_align_pool(za, s.alignment, pool_mode)
-                  for za, s in zip(acoustic, samples)]
-        packed_acoustic = T.pad_stack_time_major(pooled, steps)
-        packed_semantic = T.pad_stack_time_major(semantic, steps)
+        z_a = T.concat_cols(*[temporal_align_pool(za, s.alignment, pool_mode)
+                              for za, s in zip(acoustic, samples)])
+        z_s = T.concat_cols(*semantic)
         if mode is FusionMode.TEMP_ALIGN_CME:
-            packed_acoustic = cross_modality_excite(packed_semantic, packed_acoustic, params)
-        fused = T.concat_rows(packed_acoustic, packed_semantic)
+            z_a = cross_modality_excite(z_s, z_a, params)
+        fused = T.concat_rows(z_a, z_s)
 
     states = _bilstm(fused, batch, steps, lengths, params)
     pooled_state = T.maxpool_steps(states, lengths)
@@ -418,16 +408,23 @@ def load_checkpoint(path) -> Checkpoint:
             arrays[str(entry["name"])] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
         fusion_mode = FusionMode.parse(header["fusion_mode"])
         pool_mode = header.get("pool_mode", "sum")
+        if pool_mode not in ("sum", "mean"):
+            raise InputError(f"{path}: unknown pool mode {pool_mode!r}")
     except InputError:
         raise
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"{path}: tensor {name} holds non-finite values")
     feature_mean = arrays.pop("feature_mean", None)
     feature_std = arrays.pop("feature_std", None)
     if feature_mean is None or feature_std is None:
         raise InputError(f"{path}: checkpoint is missing the normalization statistics")
     if feature_mean.shape != (N_FEATURES,) or feature_std.shape != (N_FEATURES,):
         raise InputError(f"{path}: normalization statistics must be {N_FEATURES}-vectors")
+    if not np.all(feature_std > 0):
+        raise InputError(f"{path}: normalization std must be positive")
     missing = set(PARAM_SHAPES) - set(arrays)
     extra = set(arrays) - set(PARAM_SHAPES)
     if missing or extra:

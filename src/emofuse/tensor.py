@@ -15,12 +15,15 @@ Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
     per-column bias of ``linear``/``add_bias``/``lstm_cell``. Other
     mismatches raise ``DimensionError`` to catch wiring bugs early.
-  - Default dtype is float32; gradient checking runs under ``precision(64)``.
+  - Every op output and every leaf gradient is checked for NaN/inf, so a
+    divergence surfaces as ``FloatingPointError`` at the op that made it,
+    before saturating activations can hide it.
+  - Default dtype is float32; ``precision(64)`` switches it for a block
+    (gradient checking runs under it).
   - A graph belongs to one thread; independent graphs may run in parallel.
-    The default dtype and the finite-check switch are context variables,
-    so ``precision`` in one thread never changes another thread's tensors;
-    a thread that does not inherit its starter's context begins with the
-    defaults (float32, checks on).
+    The dtype is a context variable, so ``precision`` in one thread never
+    changes another thread's tensors; a thread that does not inherit its
+    starter's context begins with float32.
 """
 
 from __future__ import annotations
@@ -35,17 +38,11 @@ from .errors import DimensionError
 
 __all__ = [
     "Tensor",
-    "tensor",
     "zeros",
-    "full",
-    "set_default_dtype",
-    "default_dtype",
     "precision",
-    "set_finite_checks",
     "matmul",
     "linear",
     "conv1d_same",
-    "elementwise",
     "sigmoid",
     "tanh",
     "relu",
@@ -58,59 +55,34 @@ __all__ = [
     "take_cols",
     "slice_rows",
     "slice_cols",
-    "reshape",
     "mean_cols",
     "sum_all",
-    "maxpool_time",
     "maxpool_steps",
     "pad_stack_time_major",
     "softmax_columns",
     "cross_entropy",
     "lstm_cell",
     "backward",
-    "zero_grads",
 ]
 
 _DTYPES = {32: np.float32, 64: np.float64}
 _dtype: ContextVar[type] = ContextVar("emofuse_dtype", default=np.float32)
-_finite_checks: ContextVar[bool] = ContextVar("emofuse_finite_checks", default=True)
-
-
-def _bits_to_dtype(bits: int) -> type:
-    if bits not in _DTYPES:
-        raise ValueError(f"precision must be 32 or 64, got {bits!r}")
-    return _DTYPES[bits]
-
-
-def set_default_dtype(bits: int) -> None:
-    """Set the dtype used for newly created tensors (32 or 64) in the
-    current context (thread)."""
-    _dtype.set(_bits_to_dtype(bits))
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_dtype.get())
 
 
 @contextmanager
 def precision(bits: int):
-    """Temporarily switch the default tensor dtype of the current context."""
-    token = _dtype.set(_bits_to_dtype(bits))
+    """Temporarily switch the default tensor dtype (32 or 64 bits) of the
+    current context."""
+    if bits not in _DTYPES:
+        raise ValueError(f"precision must be 32 or 64, got {bits!r}")
+    token = _dtype.set(_DTYPES[bits])
     try:
         yield
     finally:
         _dtype.reset(token)
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/inf assertion applied to every op output in the
-    current context (thread)."""
-    _finite_checks.set(bool(enabled))
-
-
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not _finite_checks.get():
-        return
     # cheap reduction first; a finite sum implies all entries are finite
     with np.errstate(over="ignore", invalid="ignore"):
         total = arr.sum()
@@ -153,30 +125,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_dtype.get()), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=_dtype.get()), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -295,31 +246,6 @@ def _im2col(ap: np.ndarray, k: int, n: int) -> np.ndarray:
     return windows.reshape(ap.shape[0] * k, n)
 
 
-def elementwise(x: Tensor, kind: str) -> Tensor:
-    """Pointwise sigmoid, tanh or relu."""
-    if kind == "sigmoid":
-        y = _sigmoid(x.data)
-
-        def grad_fn(g: np.ndarray) -> None:
-            x.grad += g * y * (1.0 - y)
-
-    elif kind == "tanh":
-        y = np.tanh(x.data)
-
-        def grad_fn(g: np.ndarray) -> None:
-            x.grad += g * (1.0 - y * y)
-
-    elif kind == "relu":
-        y = np.maximum(x.data, 0.0)
-
-        def grad_fn(g: np.ndarray) -> None:
-            x.grad += g * (x.data > 0)
-
-    else:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return _result(y, (x,), grad_fn, kind)
-
-
 def _sigmoid(a: np.ndarray) -> np.ndarray:
     """Logistic function as ½·tanh(a/2) + ½: one bounded transcendental
     pass, with no exponential that can overflow."""
@@ -330,15 +256,30 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return elementwise(x, "sigmoid")
+    y = _sigmoid(x.data)
+
+    def grad_fn(g: np.ndarray) -> None:
+        x.grad += g * y * (1.0 - y)
+
+    return _result(y, (x,), grad_fn, "sigmoid")
 
 
 def tanh(x: Tensor) -> Tensor:
-    return elementwise(x, "tanh")
+    y = np.tanh(x.data)
+
+    def grad_fn(g: np.ndarray) -> None:
+        x.grad += g * (1.0 - y * y)
+
+    return _result(y, (x,), grad_fn, "tanh")
 
 
 def relu(x: Tensor) -> Tensor:
-    return elementwise(x, "relu")
+    y = np.maximum(x.data, 0.0)
+
+    def grad_fn(g: np.ndarray) -> None:
+        x.grad += g * (x.data > 0)
+
+    return _result(y, (x,), grad_fn, "relu")
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -407,8 +348,8 @@ def concat_cols(*tensors: Tensor) -> Tensor:
 
 
 def _concat(tensors: tuple[Tensor, ...], axis: int, name: str) -> Tensor:
-    if len(tensors) < 2:
-        raise ValueError(f"{name} needs at least two tensors")
+    if not tensors:
+        raise ValueError(f"{name} needs at least one tensor")
     for t in tensors:
         _need_2d(t, name)
         if t.shape[1 - axis] != tensors[0].shape[1 - axis]:
@@ -468,15 +409,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop], (x,), grad_fn, "slice_cols")
 
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-
-    def grad_fn(g: np.ndarray) -> None:
-        x.grad += g.reshape(x.shape)
-
-    return _result(x.data.reshape(shape), (x,), grad_fn, "reshape")
-
-
 def mean_cols(x: Tensor) -> Tensor:
     """Mean over columns of x [d×m], returned as [d×1]."""
     _need_2d(x, "mean_cols")
@@ -497,26 +429,6 @@ def sum_all(x: Tensor) -> Tensor:
         x.grad += np.broadcast_to(g, x.shape)
 
     return _result(out_data, (x,), grad_fn, "sum_all")
-
-
-def maxpool_time(h: Tensor, valid_len: int) -> Tensor:
-    """Per-row maximum of h [d×m] over the first valid_len columns.
-
-    Gradient routes to one argmax position per row; ties go to the lowest
-    time index. Columns beyond valid_len never affect the result.
-    """
-    _need_2d(h, "maxpool_time")
-    d, m = h.shape
-    if not 1 <= valid_len <= m:
-        raise ValueError(f"valid_len {valid_len} out of range for {m} columns")
-    region = h.data[:, :valid_len]
-    idx = region.argmax(axis=1)  # first occurrence wins ties
-    out_data = region[np.arange(d), idx]
-
-    def grad_fn(g: np.ndarray) -> None:
-        np.add.at(h.grad, (np.arange(d), idx), g)
-
-    return _result(out_data, (h,), grad_fn, "maxpool_time")
 
 
 def maxpool_steps(steps: Sequence[Tensor], lengths: Sequence[int]) -> Tensor:
@@ -619,15 +531,12 @@ def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
         def grad_fn(g: np.ndarray) -> None:
             src.grad += g * (p.data - y)
 
-        parents: tuple[Tensor, ...] = (p,)
     else:
 
         def grad_fn(g: np.ndarray) -> None:
             p.grad += g * (-y / clamped)
 
-        parents = (p,)
-
-    return _result(out_data, parents, grad_fn, "cross_entropy")
+    return _result(out_data, (p,), grad_fn, "cross_entropy")
 
 
 def lstm_cell(x_proj: Tensor, state: Tensor, w_h: Tensor, bias: Tensor,
@@ -694,12 +603,6 @@ def lstm_cell(x_proj: Tensor, state: Tensor, w_h: Tensor, bias: Tensor,
     return _result(out_data, (x_proj, state, w_h, bias), grad_fn, "lstm_cell")
 
 
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    vec = np.zeros(n_classes, dtype=_dtype.get())
-    vec[label] = 1.0
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -749,8 +652,3 @@ def backward(loss: Tensor) -> None:
         # lands here, so checking leaves covers the whole pass
         if node._grad_fn is None and node.grad is not None:
             _check_finite(node.grad, "backward")
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()

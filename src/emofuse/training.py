@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,9 @@ from .data import (EmbeddingTable, PreparedSample, UtteranceRecord, kfold_split,
 from .errors import DivergenceError, InputError
 
 logger = logging.getLogger(__name__)
+
+# value kinds accepted per annotated field type; numpy scalars count too
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
@@ -38,8 +42,17 @@ class TrainConfig:
     pool_mode: str = "sum"
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[f.type]):
+                raise InputError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
+            raise InputError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0, got "
+                             f"{self.adam_beta1}, {self.adam_beta2}, {self.adam_eps}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -188,12 +201,11 @@ def gather_features(records: Sequence[UtteranceRecord],
                     cache: dict[tuple, np.ndarray] | None = None) -> list[np.ndarray]:
     """Raw feature matrices in record order (ids need not be unique); the
     cache, keyed by feature source file, persists across folds, modes and
-    datasets."""
+    datasets. Without one, a fresh cache still loads each file once."""
+    if cache is None:
+        cache = {}
     out: list[np.ndarray] = []
     for record in records:
-        if cache is None:
-            out.append(load_record_features(record))
-            continue
         key = _source_key(record)
         if key not in cache:
             cache[key] = load_record_features(record)

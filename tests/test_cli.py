@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
-from emofuse import cli
+from emofuse import cli, data, model
 
 
 def run(capsys, *argv):
@@ -133,6 +135,70 @@ class TestTrainEval:
                       "--manifest", str(synth_dir / "manifest.jsonl"),
                       "--embeddings", str(synth_dir / "embeddings.txt"),
                       "--out", str(tmp_path / "m.emc"), "--config", str(config))
+        assert code == 1
+
+    @pytest.mark.parametrize("config_text", ['{"epochs": "2"}', "5", '{"learning_rate": NaN}'],
+                             ids=["string-epochs", "top-level-number", "nan-rate"])
+    def test_unusable_config_file_is_exit_1(self, synth_dir, tmp_path, capsys, config_text):
+        config = tmp_path / "bad.json"
+        config.write_text(config_text)
+        code, _ = run(capsys, "train",
+                      "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"),
+                      "--out", str(tmp_path / "m.emc"), "--config", str(config))
+        assert code == 1
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_exit_1(self, synth_dir, tmp_path, capsys, rate):
+        path = tmp_path / "m.emc"
+        code, _ = run(capsys, "train",
+                      "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"),
+                      "--out", str(path), "--epochs", "1", "--learning-rate", rate)
+        assert code == 1
+        assert not path.exists()
+
+
+class TestNonFiniteInputs:
+    """A NaN in any input file is a bad input (exit 1), not a training
+    divergence or an unexpected failure (exit 2)."""
+
+    def test_nan_in_feature_file_is_exit_1(self, synth_dir, tmp_path, capsys):
+        feat_dir = tmp_path / "features"
+        assert cli.main(["extract", "--manifest", str(synth_dir / "manifest.jsonl"),
+                         "--out-dir", str(feat_dir)]) == 0
+        victim = sorted(feat_dir.glob("*.emt"))[0]
+        features = data.load_array(victim)
+        features[0, 0] = np.nan
+        data.save_array(victim, features)
+        code, _ = run(capsys, "train", "--manifest", str(feat_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"),
+                      "--out", str(tmp_path / "m.emc"), "--epochs", "1")
+        assert code == 1
+
+    def test_nan_in_checkpoint_is_exit_1(self, synth_dir, ckpt, tmp_path, capsys):
+        loaded = model.load_checkpoint(ckpt)
+        bias = loaded.params.fcn2_b
+        bias.data = np.where(np.arange(bias.size) == 0, np.nan, bias.data)
+        path = tmp_path / "nan.emc"
+        model.save_checkpoint(loaded, path)
+        code, _ = run(capsys, "eval", "--checkpoint", str(path),
+                      "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"))
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nan_in_embeddings_is_exit_1(self, synth_dir, ckpt, tmp_path, capsys, command):
+        embeddings = tmp_path / "emb.txt"
+        shutil.copy(synth_dir / "embeddings.txt", embeddings)
+        lines = embeddings.read_text().splitlines()
+        parts = lines[0].split()
+        lines[0] = " ".join(parts[:-1] + ["nan"])
+        embeddings.write_text("\n".join(lines) + "\n")
+        io = (["--out", str(tmp_path / "m.emc"), "--epochs", "1"] if command == "train"
+              else ["--checkpoint", str(ckpt)])
+        code, _ = run(capsys, command, "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(embeddings), *io)
         assert code == 1
 
 

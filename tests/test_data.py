@@ -83,6 +83,24 @@ class TestManifest:
         with pytest.raises(InputError, match="does not exist"):
             data.load_manifest(path)
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 1e400}',
+                     id="label-overflows"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0, 1e400]], "label": 0}',
+                     id="span-overflows"),
+        pytest.param(b'{"id": "b", "audio_path": 5, "words": [["x", 0, 10]], "label": 0}',
+                     id="path-not-a-string"),
+        pytest.param(b'{"id": "\xff", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 0}',
+                     id="invalid-utf8"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        (tmp_path / "a.wav").touch()
+        good = b'{"id": "a", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 0}'
+        path.write_bytes(good + b"\n" + bad + b"\n")
+        with pytest.raises(InputError, match=f"{path}:2"):
+            data.load_manifest(path)
+
 
 class TestEmbeddings:
     def test_load_and_lookup(self, tmp_path):
@@ -107,6 +125,21 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("short " + " ".join(["1"] * 299) + "\n")
         with pytest.raises(InputError, match=":1"):
+            data.load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text("ok " + " ".join(["1"] * 300) + "\nbad " + " ".join(["1"] * 299)
+                        + f" {value}\n")
+        with pytest.raises(InputError, match=f"{path}:2"):
+            data.load_embeddings(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"ok " + b" ".join([b"1"] * 300) + b"\n\xff\xfe "
+                         + b" ".join([b"1"] * 300) + b"\n")
+        with pytest.raises(InputError, match=f"{path}:2"):
             data.load_embeddings(path)
 
     def test_save_round_trip(self, tmp_path):
@@ -173,6 +206,30 @@ class TestTensorFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(InputError, match="truncated"):
+            data.load_array(path)
+
+    def test_truncated_dimensions(self, tmp_path):
+        path = tmp_path / "x.emt"
+        data.save_array(path, np.ones((4, 4)))
+        path.write_bytes(path.read_bytes()[:18])
+        with pytest.raises(InputError, match="truncated"):
+            data.load_array(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a dimension that shrank would otherwise reshape a prefix silently
+        path = tmp_path / "x.emt"
+        data.save_array(path, np.ones((4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(InputError, match="oversized"):
+            data.load_array(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_name_the_file(self, tmp_path, value):
+        path = tmp_path / "x.emt"
+        arr = np.ones((34, 5))
+        arr[3, 2] = value
+        data.save_array(path, arr)
+        with pytest.raises(InputError, match=f"{path}: .*non-finite"):
             data.load_array(path)
 
 

@@ -317,6 +317,18 @@ class TestWavIo:
         with pytest.raises(InputError):
             dsp.read_wav(path)
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda blob: blob[:-1], id="truncated-inside-a-sample"),
+        pytest.param(lambda blob: blob[:16] + bytes([blob[16] ^ 1]) + blob[17:],
+                     id="fmt-chunk-size-past-its-end"),
+    ])
+    def test_rejects_corrupt_file(self, tmp_path, corrupt):
+        path = tmp_path / "clip.wav"
+        dsp.write_wav(path, np.full(800, 0.1))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(InputError):
+            dsp.read_wav(path)
+
     def test_rejects_out_of_range_samples(self):
         with pytest.raises(InputError):
             dsp.AudioClip(np.array([0.0, 1.5]))

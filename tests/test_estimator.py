@@ -1,9 +1,13 @@
 """Tests for the sklearn-style estimator facade."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from emofuse import data, dsp
+from emofuse.training import TrainConfig
 from emofuse.errors import InputError
 from emofuse.estimator import EmotionRecognizer, LowLevelFeatureExtractor
 
@@ -39,6 +43,14 @@ class TestParamsProtocol:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(InputError, match="invalid parameter"):
             EmotionRecognizer().set_params(dropout=0.5)
+
+    def test_params_are_embeddings_plus_train_config_fields(self):
+        signature = inspect.signature(EmotionRecognizer.__init__)
+        defaults = {name: p.default for name, p in signature.parameters.items()
+                    if name != "self"}
+        expected = {"embeddings": None,
+                    **{f.name: f.default for f in dataclasses.fields(TrainConfig)}}
+        assert defaults == expected
 
     def test_repr_mentions_params(self):
         assert "epochs=7" in repr(EmotionRecognizer(epochs=7))

@@ -315,6 +315,17 @@ def tensor_edit(name, **fields):
                                                    for e in h["tensors"]]})
 
 
+def payload_edit(name, value):
+    """A corruption that overwrites the first value of one tensor's payload."""
+    def corrupt(blob):
+        header_len = int.from_bytes(blob[12:16], "little")
+        entry = next(e for e in json.loads(blob[16:16 + header_len])["tensors"]
+                     if e["name"] == name)
+        at = 16 + header_len + entry["offset"]
+        return blob[:at] + np.float32(value).tobytes() + blob[at + 4:]
+    return corrupt
+
+
 class TestCheckpoint:
     def _checkpoint(self, params):
         return M.Checkpoint(
@@ -371,6 +382,11 @@ class TestCheckpoint:
         pytest.param(header_edit(lambda h: {**h, "tensors": h["tensors"] + [
             {**h["tensors"][0], "name": 5}, {**h["tensors"][0], "name": "x"}]}),
             id="mixed-type-names"),
+        pytest.param(payload_edit("cme_w", np.nan), id="nan-weight"),
+        pytest.param(payload_edit("feature_mean", np.inf), id="inf-statistic"),
+        pytest.param(payload_edit("feature_std", -1.0), id="negative-std"),
+        pytest.param(header_edit(lambda h: {**h, "pool_mode": "max"}), id="unknown-pool-mode"),
+        pytest.param(header_edit(lambda h: {**h, "fusion_mode": 5}), id="fusion-mode-not-string"),
     ])
     def test_rejects_malformed_content(self, tmp_path, params, corrupt):
         path = tmp_path / "model.emc"

@@ -83,10 +83,6 @@ class TestElementwise:
         assert T.tanh(T.Tensor([[0.0]])).data[0, 0] == 0.0
         assert T.relu(T.Tensor([[-1.0]])).data[0, 0] == 0.0
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.elementwise(T.Tensor([[1.0]]), "softplus")
-
     def test_sigmoid_gradient(self, f64):
         from emofuse.gradcheck import grad_check
         x = T.Tensor(np.random.default_rng(3).standard_normal((4, 5)))
@@ -138,35 +134,35 @@ class TestConcatRows:
             T.concat_rows(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 3))))
 
 
-class TestMaxpoolTime:
+class TestMaxpoolSteps:
     def test_per_row_max(self):
-        out = T.maxpool_time(T.Tensor([[1.0, 3.0], [2.0, 0.0]]), valid_len=2)
-        np.testing.assert_array_equal(out.data, [3.0, 2.0])
+        out = T.maxpool_steps([T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0], [0.0]])], [2])
+        np.testing.assert_array_equal(out.data, [[3.0], [2.0]])
 
-    def test_single_column(self):
-        out = T.maxpool_time(T.Tensor([[4.0], [5.0]]), valid_len=1)
-        np.testing.assert_array_equal(out.data, [4.0, 5.0])
+    def test_single_step(self):
+        out = T.maxpool_steps([T.Tensor([[4.0, 1.0], [5.0, 2.0]])], [1, 1])
+        np.testing.assert_array_equal(out.data, [[4.0, 1.0], [5.0, 2.0]])
 
     def test_padding_never_leaks(self):
         rng = np.random.default_rng(5)
-        base = rng.standard_normal((6, 8))
-        poisoned = base.copy()
-        poisoned[:, 5:] = 1e9
-        out_a = T.maxpool_time(T.Tensor(base), valid_len=5)
-        out_b = T.maxpool_time(T.Tensor(poisoned), valid_len=5)
+        lengths = np.array([5, 3])
+        base = [rng.standard_normal((6, 2)) for _ in range(8)]
+        poisoned = [np.where(t >= lengths, 1e9, step) for t, step in enumerate(base)]
+        out_a = T.maxpool_steps([T.Tensor(step) for step in base], lengths)
+        out_b = T.maxpool_steps([T.Tensor(step) for step in poisoned], lengths)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
-    def test_valid_len_out_of_range(self):
+    def test_lengths_out_of_range(self):
+        steps = [T.Tensor(np.zeros((2, 1))) for _ in range(3)]
         with pytest.raises(ValueError):
-            T.maxpool_time(T.Tensor(np.zeros((2, 3))), valid_len=4)
+            T.maxpool_steps(steps, [4])
         with pytest.raises(ValueError):
-            T.maxpool_time(T.Tensor(np.zeros((2, 3))), valid_len=0)
+            T.maxpool_steps(steps, [0])
 
-    def test_tie_goes_to_earliest_column(self, f64):
-        h = T.Tensor(np.array([[1.0, 1.0, 0.5]]), requires_grad=True)
-        out = T.maxpool_time(h, valid_len=3)
-        T.backward(T.sum_all(out))
-        np.testing.assert_array_equal(h.grad, [[1.0, 0.0, 0.0]])
+    def test_tie_goes_to_earliest_step(self, f64):
+        steps = [T.Tensor([[v]], requires_grad=True) for v in (1.0, 1.0, 0.5)]
+        T.backward(T.sum_all(T.maxpool_steps(steps, [3])))
+        assert [step.grad[0, 0] for step in steps] == [1.0, 0.0, 0.0]
 
 
 class TestSoftmaxColumns:
@@ -198,17 +194,17 @@ class TestSoftmaxColumns:
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         p = T.Tensor([[1.0], [0.0], [0.0], [0.0]])
-        assert T.cross_entropy(p, T.one_hot(0, 4)).item() == 0.0
+        assert T.cross_entropy(p, np.eye(4)[0]).item() == 0.0
 
     def test_uniform_is_log4(self, f64):
         p = T.Tensor(np.full((4, 1), 0.25))
-        assert T.cross_entropy(p, T.one_hot(2, 4)).item() == pytest.approx(np.log(4.0), abs=1e-12)
+        assert T.cross_entropy(p, np.eye(4)[2]).item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_fused_gradient_is_p_minus_y(self, f64):
         rng = np.random.default_rng(8)
         logits = T.Tensor(rng.standard_normal((4, 1)), requires_grad=True)
         probs = T.softmax_columns(logits)
-        y = T.one_hot(1, 4)
+        y = np.eye(4)[1]
         loss = T.cross_entropy(probs, y)
         T.backward(loss)
         np.testing.assert_allclose(logits.grad, probs.data - y[:, None], atol=1e-15)
@@ -216,14 +212,14 @@ class TestCrossEntropy:
     def test_fused_gradient_matches_finite_differences(self, f64):
         from emofuse.gradcheck import grad_check
         rng = np.random.default_rng(9)
-        y = T.one_hot(3, 4)
+        y = np.eye(4)[3]
         err = grad_check(lambda z: T.cross_entropy(T.softmax_columns(z), y),
                          T.Tensor(rng.standard_normal((4, 1))))
         assert err <= 1e-5
 
     def test_rejects_non_probabilities(self):
         with pytest.raises(ValueError):
-            T.cross_entropy(T.Tensor([[0.9], [0.9], [0.1], [0.1]]), T.one_hot(0, 4))
+            T.cross_entropy(T.Tensor([[0.9], [0.9], [0.1], [0.1]]), np.eye(4)[0])
 
 
 class TestLinear:
@@ -321,7 +317,8 @@ class TestPrecisionConfig:
 
     def test_invalid_precision(self):
         with pytest.raises(ValueError):
-            T.set_default_dtype(16)
+            with T.precision(16):
+                pass
 
     def test_precision_does_not_leak_across_threads(self):
         import threading

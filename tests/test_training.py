@@ -164,6 +164,29 @@ class TestTrainConfig:
         with pytest.raises(InputError):
             training.TrainConfig(loss_reduction="median").validate()
 
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_beta1", "adam_beta2",
+                                       "adam_eps", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            training.TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("overrides", [{"adam_beta1": 1.0}, {"adam_beta2": -0.1},
+                                           {"adam_eps": 0.0}])
+    def test_adam_constants_out_of_range_rejected(self, overrides):
+        with pytest.raises(InputError):
+            training.TrainConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides", [{"epochs": "2"}, {"learning_rate": "0.1"},
+                                           {"batch_size": 4.0}, {"seed": True},
+                                           {"fusion_mode": 3}])
+    def test_wrongly_typed_values_rejected(self, overrides):
+        with pytest.raises(InputError, match=next(iter(overrides))):
+            training.TrainConfig(**overrides).validate()
+
+    def test_numpy_scalars_accepted(self):
+        training.TrainConfig(epochs=np.int64(3), learning_rate=np.float32(0.01)).validate()
+
     def test_defaults_follow_stated_hyperparameters(self):
         config = training.TrainConfig()
         assert config.learning_rate == 0.001
