@@ -84,6 +84,13 @@ def _text_lines(path):
                 raise InputError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
 
 
+def _json_int(value, what: str) -> int:
+    # int() would truncate 1.9 to 1 and accept true and "3"
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def load_manifest(path) -> list[UtteranceRecord]:
     """Parse and validate a manifest; raises InputError naming the bad line."""
     path = Path(path)
@@ -96,11 +103,12 @@ def load_manifest(path) -> list[UtteranceRecord]:
             continue
         try:
             payload = json.loads(line)
-            words = [WordSpan(str(t), int(s), int(e)) for t, s, e in payload["words"]]
+            words = [WordSpan(str(t), _json_int(s, "span start"), _json_int(e, "span end"))
+                     for t, s, e in payload["words"]]
             record = UtteranceRecord(
                 id=str(payload["id"]),
                 words=words,
-                label=int(payload["label"]),
+                label=_json_int(payload["label"], "label"),
                 audio_path=payload.get("audio_path"),
                 features_path=payload.get("features_path"),
             )

@@ -135,15 +135,13 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, T.Tensor]]:
 
     batch, steps_n = dim(), max(2, dim())
     lengths = [int(rng.integers(1, steps_n + 1)) for _ in range(batch)]
-    step_shape = (dim(), batch)
-    flat_shape = (step_shape[0] * steps_n, batch)
-
-    def pool_steps(x: T.Tensor) -> T.Tensor:
-        step_list = [T.slice_rows(x, t * step_shape[0], (t + 1) * step_shape[0])
-                     for t in range(steps_n)]
-        return T.sum_all(T.maxpool_steps(step_list, lengths))
-
-    cases.append(("maxpool_steps", pool_steps, T.Tensor(_distinct(rng, flat_shape))))
+    pool_d = dim()
+    # one distinct value per (step, row, sequence); each sequence keeps its
+    # first lengths[b] steps, packed one sequence after another
+    stack = _distinct(rng, (steps_n, pool_d, batch))
+    pooled_in = np.concatenate([stack[:n, :, b].T for b, n in enumerate(lengths)], axis=1)
+    cases.append(("maxpool_steps", lambda x: T.sum_all(T.maxpool_steps(x, lengths)),
+                  T.Tensor(pooled_in)))
 
     pack_d, pack_b, pack_tmax = dim(), 3, max(2, dim())
     pack_lens = [int(rng.integers(1, pack_tmax + 1)) for _ in range(pack_b)]
@@ -187,24 +185,19 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, T.Tensor]]:
                       T.Tensor(rng.standard_normal((cin, n_short)))))
     cases.append(("concat_cols", lambda a: T.sum_all(T.sigmoid(T.concat_cols(other, a, other))),
                   T.Tensor(rng.standard_normal(shape))))
-    take = rng.permutation(np.concatenate([np.arange(shape[1]), [-1, -1]]))
-    cases.append(("take_cols", lambda x: T.sum_all(T.sigmoid(T.take_cols(x, take))),
-                  T.Tensor(rng.standard_normal(shape))))
 
-    hid, cell_b = dim(), 4
-    weigh = T.Tensor(rng.standard_normal((2 * hid, cell_b)))
-    cell_args = {"x_proj": (4 * hid, cell_b), "state": (2 * hid, cell_b),
-                 "w_h": (4 * hid, hid), "bias": (4 * hid,)}
-    fixed = {name: T.Tensor(0.5 * rng.standard_normal(shp)) for name, shp in cell_args.items()}
-    for label, cell_valid in (("padded", np.array([True, False, True, False])),
-                              ("full", np.ones(cell_b, dtype=bool))):
-        for name, shp in cell_args.items():
-            def cell(probe, _name=name, _valid=cell_valid):
+    hid, seq_lens = dim(), [3, 1, 4]
+    weigh = T.Tensor(rng.standard_normal((hid, sum(seq_lens))))
+    lstm_args = {"x_proj": (4 * hid, sum(seq_lens)), "w_h": (4 * hid, hid), "bias": (4 * hid,)}
+    fixed = {name: T.Tensor(0.5 * rng.standard_normal(shp)) for name, shp in lstm_args.items()}
+    for label, reverse in (("forward", False), ("reverse", True)):
+        for name, shp in lstm_args.items():
+            def run(probe, _name=name, _reverse=reverse):
                 args = {**fixed, _name: probe}
-                out = T.lstm_cell(args["x_proj"], args["state"], args["w_h"], args["bias"], _valid)
+                out = T.lstm(args["x_proj"], args["w_h"], args["bias"], seq_lens, _reverse)
                 return T.sum_all(T.hadamard(out, weigh))
-            cases.append((f"lstm_cell/{name} {label}", cell,
-                          T.Tensor(0.5 * rng.standard_normal(shp))))
+            cases.append((f"lstm/{name} {label}", run, T.Tensor(0.5 * rng.standard_normal(shp))))
+    cases.append(("sum_all", T.sum_all, T.Tensor(rng.standard_normal(shape))))
     return cases
 
 

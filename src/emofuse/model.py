@@ -15,11 +15,10 @@ concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
 
 Batching packs the frames of a mini-batch side by side for one CNN pass,
 and the word columns of all utterances side by side, one sequence after
-another, for the gate, the concat and the BiLSTM input projection. Padding
-exists only in the time-major projection the LSTM steps walk: each step
-reads one column per sequence, and valid-length masks keep the LSTM states
-and the max-pool blind to padded steps, so padded and unpadded forwards
-agree exactly.
+another, for the gate, the concat, the BiLSTM and the max-pool. Nothing is
+padded: each LSTM step computes only the sequences still running, and the
+max-pool reads each sequence's own columns, so no utterance's result
+reads another utterance's columns.
 """
 
 from __future__ import annotations
@@ -231,32 +230,16 @@ def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
     return T.hadamard(gate, z_a2)
 
 
-def _bilstm(g: T.Tensor, batch: int, steps: int, lengths: np.ndarray,
-            params: ModelParams) -> list[T.Tensor]:
-    """Per-step [400×B] states for g [256 × Σ lengths], whose columns hold
-    the sequences one after another. Each direction's input projection is
-    one matmul over those real columns, scattered into the time-major
-    layout: column t·B + b reads sequence b's step t, or zeros once
-    t ≥ lengths[b]. A product that also covered padding columns would
-    change with the padding amount in the last float32 bit. Then one fused
-    cell per step adds W_h·h + b and the gates."""
-    starts = np.cumsum(lengths) - lengths
-    step = np.arange(steps)[:, None]
-    scatter = np.where(step < lengths[None, :], starts[None, :] + step, -1).reshape(-1)
-
-    def direction(wx: T.Tensor, wh: T.Tensor, bias: T.Tensor, reverse: bool):
-        proj = T.take_cols(T.matmul(wx, g), scatter)
-        state = T.zeros((2 * LSTM_HIDDEN, batch))
-        hidden: list[T.Tensor | None] = [None] * steps
-        for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-            x_t = T.slice_cols(proj, t * batch, (t + 1) * batch)
-            state = T.lstm_cell(x_t, state, wh, bias, lengths > t)
-            hidden[t] = T.slice_rows(state, 0, LSTM_HIDDEN)
-        return hidden
-
-    forward_h = direction(params.lstm_fw_wx, params.lstm_fw_wh, params.lstm_fw_b, False)
-    backward_h = direction(params.lstm_bw_wx, params.lstm_bw_wh, params.lstm_bw_b, True)
-    return [T.concat_rows(forward_h[t], backward_h[t]) for t in range(steps)]
+def _bilstm(g: T.Tensor, lengths: np.ndarray, params: ModelParams) -> T.Tensor:
+    """BiLSTM states [400 × Σ lengths] for g [256 × Σ lengths], whose columns
+    hold the sequences one after another: forward h over backward h, in g's
+    layout. Each direction is one input-projection matmul over the real
+    columns and one sequence op."""
+    forward_h = T.lstm(T.matmul(params.lstm_fw_wx, g), params.lstm_fw_wh, params.lstm_fw_b,
+                       lengths)
+    backward_h = T.lstm(T.matmul(params.lstm_bw_wx, g), params.lstm_bw_wh, params.lstm_bw_b,
+                        lengths, reverse=True)
+    return T.concat_rows(forward_h, backward_h)
 
 
 def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
@@ -264,37 +247,33 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
                   pool_mode: str = "sum") -> T.Tensor:
     """Class probabilities [4 × B] for a batch of prepared samples.
 
-    The LSTM steps walk the longest word count in the batch (or pad_to);
-    masks make the result independent of the padding amount.
+    The word columns of the batch are packed, so there is no padding; pad_to
+    only has to be at least the longest word count, and never changes the
+    result.
     """
     mode = FusionMode.parse(mode)
     if not samples:
         raise InputError("forward_batch needs at least one sample")
-    batch = len(samples)
 
     acoustic = acoustic_encode_batch([T.Tensor(s.features) for s in samples], params)
     semantic = [T.linear(T.Tensor(s.token_vectors), params.sem_w, params.sem_b)
                 for s in samples]
 
     if mode is FusionMode.UTT_CONCAT:
-        lengths = np.ones(batch, dtype=np.int64)
-        columns = [T.concat_rows(T.mean_cols(za), T.mean_cols(zs))
-                   for za, zs in zip(acoustic, semantic)]
-        fused = T.pad_stack_time_major(columns, 1)
-        steps = 1
+        lengths = np.ones(len(samples), dtype=np.int64)
+        z_a = T.concat_cols(*[T.mean_cols(za) for za in acoustic])
+        z_s = T.concat_cols(*[T.mean_cols(zs) for zs in semantic])
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        steps = int(pad_to) if pad_to is not None else int(lengths.max())
-        if steps < lengths.max():
-            raise InputError(f"pad_to={steps} is below the longest word count {lengths.max()}")
+        if pad_to is not None and pad_to < lengths.max():
+            raise InputError(f"pad_to={pad_to} is below the longest word count {lengths.max()}")
         z_a = T.concat_cols(*[temporal_align_pool(za, s.alignment, pool_mode)
                               for za, s in zip(acoustic, samples)])
         z_s = T.concat_cols(*semantic)
         if mode is FusionMode.TEMP_ALIGN_CME:
             z_a = cross_modality_excite(z_s, z_a, params)
-        fused = T.concat_rows(z_a, z_s)
 
-    states = _bilstm(fused, batch, steps, lengths, params)
+    states = _bilstm(T.concat_rows(z_a, z_s), lengths, params)
     pooled_state = T.maxpool_steps(states, lengths)
     hidden = T.relu(T.linear(pooled_state, params.fcn1_w, params.fcn1_b))
     logits = T.linear(hidden, params.fcn2_w, params.fcn2_b)
@@ -405,7 +384,8 @@ def load_checkpoint(path) -> Checkpoint:
             raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
             if len(raw) != entry["nbytes"]:
                 raise InputError(f"{path}: truncated checkpoint payload")
-            arrays[str(entry["name"])] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+            # a copy: a view of the file's bytes would be read-only
+            arrays[str(entry["name"])] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
         fusion_mode = FusionMode.parse(header["fusion_mode"])
         pool_mode = header.get("pool_mode", "sum")
         if pool_mode not in ("sum", "mean"):

@@ -7,13 +7,14 @@ walks the resulting graph once, in reverse topological order.
 
 Besides the generic algebra, two fused ops carry the model's hot loops:
 ``conv1d_same`` is one im2col matmul forward and one transposed-conv matmul
-backward, and ``lstm_cell`` is a whole LSTM step (gates, cell update and
-the carry of padded columns) with a hand-written backward, fed by an input
-projection computed once for all steps.
+backward, and ``lstm`` runs a whole LSTM direction (every step's gates and
+cell update) over sequences packed one after another, with a hand-written
+backpropagation through time, fed by an input projection computed once
+for all steps.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
-    per-column bias of ``linear``/``add_bias``/``lstm_cell``. Other
+    per-column bias of ``linear``/``add_bias``/``lstm``. Other
     mismatches raise ``DimensionError`` to catch wiring bugs early.
   - Every op output and every leaf gradient is checked for NaN/inf, so a
     divergence surfaces as ``FloatingPointError`` at the op that made it,
@@ -52,7 +53,6 @@ __all__ = [
     "scale",
     "concat_rows",
     "concat_cols",
-    "take_cols",
     "slice_rows",
     "slice_cols",
     "mean_cols",
@@ -61,7 +61,7 @@ __all__ = [
     "pad_stack_time_major",
     "softmax_columns",
     "cross_entropy",
-    "lstm_cell",
+    "lstm",
     "backward",
 ]
 
@@ -366,27 +366,6 @@ def _concat(tensors: tuple[Tensor, ...], axis: int, name: str) -> Tensor:
     return _result(out_data, tuple(tensors), grad_fn, name)
 
 
-def take_cols(x: Tensor, cols: Sequence[int]) -> Tensor:
-    """Columns of x [d×n] in the order listed; an index of −1 yields a zero
-    column. Gathers a subset of columns, or scatters a narrow matrix into a
-    wider layout. Indices other than −1 must be distinct."""
-    _need_2d(x, "take_cols")
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.ndim != 1 or cols.size == 0 or cols.min() < -1 or cols.max() >= x.shape[1]:
-        raise ValueError(f"take_cols indices out of range for shape {x.shape}")
-    real = cols >= 0
-    src = cols[real]
-    if np.unique(src).size != src.size:
-        raise ValueError("take_cols indices must be distinct")
-    out_data = np.zeros((x.shape[0], cols.size), dtype=x.data.dtype)
-    out_data[:, real] = x.data[:, src]
-
-    def grad_fn(g: np.ndarray) -> None:
-        x.grad[:, src] += g[:, real]
-
-    return _result(out_data, (x,), grad_fn, "take_cols")
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     _need_2d(x, "slice_rows")
     if not 0 <= start < stop <= x.shape[0]:
@@ -431,42 +410,45 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(out_data, (x,), grad_fn, "sum_all")
 
 
-def maxpool_steps(steps: Sequence[Tensor], lengths: Sequence[int]) -> Tensor:
-    """Columnwise max over a sequence of [d×B] step tensors.
-
-    Column b pools steps[t][:, b] for t < lengths[b]; ties go to the lowest
-    step index. Used to max-pool a batch of padded sequences in one op.
-    """
-    steps = tuple(steps)
-    if not steps:
-        raise ValueError("maxpool_steps needs at least one step")
-    d, batch = steps[0].shape
-    for t in steps:
-        if t.shape != (d, batch):
-            raise DimensionError(f"maxpool_steps step shapes differ: {[t.shape for t in steps]}")
+def _packed(lengths: Sequence[int], n_cols: int, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated lengths of the sequences packed one after another into
+    n_cols columns, and the first column of each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > len(steps):
-        raise ValueError(f"lengths {lengths} invalid for {len(steps)} steps, batch {batch}")
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n_cols:
+        raise ValueError(f"{op}: lengths {lengths} do not split {n_cols} columns into sequences")
+    return lengths, np.cumsum(lengths) - lengths
 
-    stack = np.stack([t.data for t in steps])  # [T, d, B]
-    invalid = np.arange(len(steps))[:, None] >= lengths[None, :]  # [T, B]
-    stack = np.where(invalid[:, None, :], -np.inf, stack)
-    idx = stack.argmax(axis=0)  # [d, B], first max wins ties
-    out_data = np.take_along_axis(stack, idx[None], axis=0)[0]
+
+def maxpool_steps(x: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Per-sequence max over the steps of a packed x [d × Σ lengths].
+
+    Sequence b owns the lengths[b] columns that follow those of the
+    sequences before it; column b of the [d×B] result is their rowwise max,
+    ties going to the earliest step.
+    """
+    _need_2d(x, "maxpool_steps")
+    lengths, starts = _packed(lengths, x.shape[1], "maxpool_steps")
+    d, batch = x.shape[0], lengths.size
+    step = np.arange(x.shape[1]) - np.repeat(starts, lengths)
+    stack = np.full((lengths.max(), d, batch), -np.inf, dtype=x.data.dtype)
+    stack[step, :, np.repeat(np.arange(batch), lengths)] = x.data.T
+    rows = np.arange(d)[:, None]
+    cols = starts + stack.argmax(axis=0)  # [d, B], first max wins ties
+    out_data = x.data[rows, cols]
 
     def grad_fn(g: np.ndarray) -> None:
-        for t, step in enumerate(steps):
-            if step.requires_grad:
-                step.grad += g * (idx == t)
+        x.grad[rows, cols] += g
 
-    return _result(out_data, steps, grad_fn, "maxpool_steps")
+    return _result(out_data, (x,), grad_fn, "maxpool_steps")
 
 
 def pad_stack_time_major(tensors: Sequence[Tensor], t_max: int) -> Tensor:
     """Pack B matrices [d×m_b] into one [d × t_max·B] tensor, time-major.
 
     Column t·B + b holds tensors[b][:, t], or zeros once t ≥ m_b. The layout
-    makes step t of the whole batch a contiguous column slice.
+    makes step t of the whole batch a contiguous column slice. The model
+    packs its sequences without padding instead; ``perfbench`` still traces
+    this op by name.
     """
     tensors = tuple(tensors)
     if not tensors:
@@ -539,68 +521,83 @@ def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
     return _result(out_data, (p,), grad_fn, "cross_entropy")
 
 
-def lstm_cell(x_proj: Tensor, state: Tensor, w_h: Tensor, bias: Tensor,
-              valid: np.ndarray) -> Tensor:
-    """One LSTM step for a batch of B sequences; returns the new [h; c].
+def lstm(x_proj: Tensor, w_h: Tensor, bias: Tensor, lengths: Sequence[int],
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over B packed sequences; returns every step's h.
 
-    x_proj [4H×B] is W_x·x_t, computed for all steps beforehand; state
-    [2H×B] stacks the previous h over the previous c; w_h [4H×H] and bias
-    [4H] complete the pre-activation (W_x·x + W_h·h) + b, whose row blocks
-    are the input, forget, candidate and output gates. Only the columns
-    where valid[b] holds are computed; every other column carries its state
-    unchanged, which keeps padded steps invisible.
+    x_proj [4H × Σ lengths] is W_x·x for every step of every sequence,
+    sequence b owning the lengths[b] columns that follow those of the
+    sequences before it. w_h [4H×H] and bias [4H] complete each step's
+    pre-activation (W_x·x + W_h·h) + b, whose row blocks are the input,
+    forget, candidate and output gates. The state starts at zero and walks
+    each sequence from its first column, or from its last when reverse is
+    set. The result [H × Σ lengths] has the input's layout. Step t computes
+    only the sequences longer than t, so no column is ever padded.
+
+    The backward pass is hand-written backpropagation through time: only
+    the W_hᵀ·d_pre recurrence runs per step; the gradients of x_proj, w_h
+    and bias are read off the [4H × Σ lengths] pre-activation gradient.
     """
-    _need_2d(x_proj, "lstm_cell")
-    _need_2d(state, "lstm_cell")
-    _need_2d(w_h, "lstm_cell")
-    hidden2, batch = state.shape
-    hidden = hidden2 // 2
-    if hidden < 1 or hidden2 != 2 * hidden:
-        raise DimensionError(f"lstm_cell state must stack h over c, got {state.shape}")
-    if x_proj.shape != (4 * hidden, batch) or w_h.shape != (4 * hidden, hidden):
-        raise DimensionError(f"lstm_cell shapes disagree: x_proj {x_proj.shape}, "
-                             f"state {state.shape}, w_h {w_h.shape}")
+    _need_2d(x_proj, "lstm")
+    _need_2d(w_h, "lstm")
+    hidden = w_h.shape[1]
+    if hidden < 1 or w_h.shape[0] != 4 * hidden or x_proj.shape[0] != 4 * hidden:
+        raise DimensionError(f"lstm shapes disagree: x_proj {x_proj.shape}, w_h {w_h.shape}")
     if bias.data.ndim != 1 or bias.shape[0] != 4 * hidden:
-        raise DimensionError(f"lstm_cell bias shape {bias.shape} does not match w_h {w_h.shape}")
-    valid = np.asarray(valid, dtype=bool)
-    if valid.shape != (batch,):
-        raise DimensionError(f"lstm_cell valid mask shape {valid.shape}, expected ({batch},)")
+        raise DimensionError(f"lstm bias shape {bias.shape} does not match w_h {w_h.shape}")
+    lengths, starts = _packed(lengths, x_proj.shape[1], "lstm")
+    n_cols, dtype = x_proj.shape[1], x_proj.data.dtype
 
-    cols = np.flatnonzero(valid)
-    h, c = state.data[:hidden, cols], state.data[hidden:, cols]
-    pre = (x_proj.data[:, cols] + w_h.data @ h) + bias.data[:, None]
-    gate_in = _sigmoid(pre[:hidden])
-    gate_forget = _sigmoid(pre[hidden:2 * hidden])
-    candidate = np.tanh(pre[2 * hidden:3 * hidden])
-    gate_out = _sigmoid(pre[3 * hidden:])
-    c_new = gate_in * candidate + gate_forget * c
-    tanh_c = np.tanh(c_new)
-    out_data = state.data.copy()
-    out_data[:hidden, cols] = gate_out * tanh_c
-    out_data[hidden:, cols] = c_new
+    state = np.zeros((2 * hidden, lengths.size), dtype=dtype)  # h over c per sequence
+    out_data = np.empty((hidden, n_cols), dtype=dtype)
+    cells = np.empty((hidden, n_cols), dtype=dtype)
+    saved = []
+    steps = range(lengths.max())
+    for t in (reversed(steps) if reverse else steps):
+        cols = np.flatnonzero(lengths > t)
+        at = starts[cols] + t
+        h, c = state[:hidden, cols], state[hidden:, cols]
+        pre = (x_proj.data[:, at] + w_h.data @ h) + bias.data[:, None]
+        gate_in = _sigmoid(pre[:hidden])
+        gate_forget = _sigmoid(pre[hidden:2 * hidden])
+        candidate = np.tanh(pre[2 * hidden:3 * hidden])
+        gate_out = _sigmoid(pre[3 * hidden:])
+        c_new = gate_in * candidate + gate_forget * c
+        tanh_c = np.tanh(c_new)
+        h_new = gate_out * tanh_c
+        out_data[:, at] = h_new
+        cells[:, at] = c_new
+        state[:hidden, cols] = h_new
+        state[hidden:, cols] = c_new
+        saved.append((cols, at, h, c, gate_in, gate_forget, candidate, gate_out, tanh_c))
+    # tanh would hide a non-finite cell state from the output's check
+    _check_finite(cells, "lstm")
 
     def grad_fn(g: np.ndarray) -> None:
-        g_h, g_c = g[:hidden, cols], g[hidden:, cols]
-        d_c = g_c + g_h * gate_out * (1.0 - tanh_c * tanh_c)
-        d_pre = np.concatenate([
-            d_c * candidate * gate_in * (1.0 - gate_in),
-            d_c * c * gate_forget * (1.0 - gate_forget),
-            d_c * gate_in * (1.0 - candidate * candidate),
-            g_h * tanh_c * gate_out * (1.0 - gate_out),
-        ])
+        d_pre = np.empty((4 * hidden, n_cols), dtype=dtype)
+        h_prev = np.empty((hidden, n_cols), dtype=dtype)
+        d_state = np.zeros((2 * hidden, lengths.size), dtype=dtype)
+        for cols, at, h, c, gate_in, gate_forget, candidate, gate_out, tanh_c in reversed(saved):
+            g_h = g[:, at] + d_state[:hidden, cols]
+            d_c = d_state[hidden:, cols] + g_h * gate_out * (1.0 - tanh_c * tanh_c)
+            d_step = np.concatenate([
+                d_c * candidate * gate_in * (1.0 - gate_in),
+                d_c * c * gate_forget * (1.0 - gate_forget),
+                d_c * gate_in * (1.0 - candidate * candidate),
+                g_h * tanh_c * gate_out * (1.0 - gate_out),
+            ])
+            d_pre[:, at] = d_step
+            h_prev[:, at] = h
+            d_state[:hidden, cols] = w_h.data.T @ d_step
+            d_state[hidden:, cols] = d_c * gate_forget
         if x_proj.requires_grad:
-            x_proj.grad[:, cols] += d_pre
+            x_proj.grad += d_pre
         if w_h.requires_grad:
-            w_h.grad += d_pre @ h.T
+            w_h.grad += d_pre @ h_prev.T
         if bias.requires_grad:
             bias.grad += d_pre.sum(axis=1)
-        if state.requires_grad:
-            d_state = g.copy()                  # padded columns: carried as is
-            d_state[:hidden, cols] = w_h.data.T @ d_pre
-            d_state[hidden:, cols] = d_c * gate_forget
-            state.grad += d_state
 
-    return _result(out_data, (x_proj, state, w_h, bias), grad_fn, "lstm_cell")
+    return _result(out_data, (x_proj, w_h, bias), grad_fn, "lstm")
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ class TestManifest:
                      id="path-not-a-string"),
         pytest.param(b'{"id": "\xff", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 0}',
                      id="invalid-utf8"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 1.9}',
+                     id="label-fraction"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0.9, 10.7]], "label": 0}',
+                     id="span-fraction"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": true}',
+                     id="label-bool"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", 0, 10]], "label": "3"}',
+                     id="label-string"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", "0", 10]], "label": 0}',
+                     id="span-string"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"

@@ -240,8 +240,8 @@ class TestShapeLedger:
         assert gated.shape == (128, m)
         fused = T.concat_rows(gated, zs)
         assert fused.shape == (256, m)
-        states = _bilstm(fused, batch=1, steps=m, lengths=np.array([m]), params=params)
-        assert len(states) == m and all(s.shape == (400, 1) for s in states)
+        states = _bilstm(fused, lengths=np.array([m]), params=params)
+        assert states.shape == (400, m)
         pooled = T.maxpool_steps(states, [m])
         assert pooled.shape == (400, 1)
         hidden = T.relu(T.linear(pooled, params.fcn1_w, params.fcn1_b))
@@ -352,6 +352,17 @@ class TestCheckpoint:
         a = M.forward(sample, params, "tempalign-cme").data
         b = M.forward(sample, loaded.params, "tempalign-cme").data
         np.testing.assert_array_equal(a, b)
+
+    def test_loaded_params_train_in_place(self, tmp_path, params):
+        from emofuse import training
+        path = tmp_path / "model.emc"
+        M.save_checkpoint(self._checkpoint(params), path)
+        loaded = M.load_checkpoint(path).params
+        before = loaded.fcn2_b.data.copy()
+        for t in loaded.tensors():
+            t.grad = np.ones_like(t.data)
+        training.adam_step(loaded, training.AdamState(loaded), training.TrainConfig())
+        assert np.all(loaded.fcn2_b.data < before)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.emc"

@@ -63,3 +63,49 @@ def test_packed_encoding_matches_single(params, lengths, seed):
         for x, out in zip(xs, M.acoustic_encode_batch(xs, params)):
             np.testing.assert_allclose(out.data, M.acoustic_encode(x, params).data,
                                        rtol=0, atol=1e-12)
+
+
+def padded_loop_lstm(x_proj, w_h, bias, lengths, reverse):
+    """The time-major batch loop the packed op replaced: step t reads one
+    column per sequence from a zero-padded projection, computes the
+    sequences longer than t and carries the others' state unchanged."""
+    hidden, batch, steps = w_h.shape[1], len(lengths), max(lengths)
+    starts = np.cumsum(lengths) - lengths
+    padded = np.zeros((4 * hidden, steps, batch))
+    for b, (start, n) in enumerate(zip(starts, lengths)):
+        padded[:, :n, b] = x_proj[:, start:start + n]
+    state = np.zeros((2 * hidden, batch))
+    out = np.zeros((hidden, sum(lengths)))
+    for t in (reversed(range(steps)) if reverse else range(steps)):
+        cols = np.flatnonzero(np.asarray(lengths) > t)
+        h, c = state[:hidden, cols], state[hidden:, cols]
+        pre = (padded[:, t, cols] + w_h @ h) + bias[:, None]
+        i, f = T._sigmoid(pre[:hidden]), T._sigmoid(pre[hidden:2 * hidden])
+        g, o = np.tanh(pre[2 * hidden:3 * hidden]), T._sigmoid(pre[3 * hidden:])
+        c_new = i * g + f * c
+        h_new = o * np.tanh(c_new)
+        state[:hidden, cols], state[hidden:, cols] = h_new, c_new
+        out[:, starts[cols] + t] = h_new
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5), hidden=st.integers(1, 6),
+       seed=st.integers(0, 2**16), reverse=st.booleans())
+def test_packed_lstm_matches_padded_loop_and_single_sequences(lengths, hidden, seed, reverse):
+    """Bit for bit against the padded batch loop, which does the same
+    arithmetic; against each sequence run alone to 1e-12, because a
+    one-column W_h·h (a BLAS gemv) rounds differently from the same column
+    inside a wider product (a gemm)."""
+    rng = np.random.default_rng(seed)
+    x_proj = rng.standard_normal((4 * hidden, sum(lengths)))
+    w_h, bias = rng.standard_normal((4 * hidden, hidden)), rng.standard_normal(4 * hidden)
+    with T.precision(64):
+        out = T.lstm(T.Tensor(x_proj), T.Tensor(w_h), T.Tensor(bias), lengths, reverse).data
+        np.testing.assert_array_equal(out, padded_loop_lstm(x_proj, w_h, bias, lengths, reverse))
+        start = 0
+        for n in lengths:
+            alone = T.lstm(T.Tensor(x_proj[:, start:start + n]), T.Tensor(w_h), T.Tensor(bias),
+                           [n], reverse).data
+            np.testing.assert_allclose(out[:, start:start + n], alone, rtol=0, atol=1e-12)
+            start += n

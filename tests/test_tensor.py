@@ -136,33 +136,36 @@ class TestConcatRows:
 
 class TestMaxpoolSteps:
     def test_per_row_max(self):
-        out = T.maxpool_steps([T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0], [0.0]])], [2])
+        out = T.maxpool_steps(T.Tensor([[1.0, 3.0], [2.0, 0.0]]), [2])
         np.testing.assert_array_equal(out.data, [[3.0], [2.0]])
 
     def test_single_step(self):
-        out = T.maxpool_steps([T.Tensor([[4.0, 1.0], [5.0, 2.0]])], [1, 1])
+        out = T.maxpool_steps(T.Tensor([[4.0, 1.0], [5.0, 2.0]]), [1, 1])
         np.testing.assert_array_equal(out.data, [[4.0, 1.0], [5.0, 2.0]])
 
     def test_padding_never_leaks(self):
+        # a sequence pools its own columns only, whatever its neighbours hold
         rng = np.random.default_rng(5)
-        lengths = np.array([5, 3])
-        base = [rng.standard_normal((6, 2)) for _ in range(8)]
-        poisoned = [np.where(t >= lengths, 1e9, step) for t, step in enumerate(base)]
-        out_a = T.maxpool_steps([T.Tensor(step) for step in base], lengths)
-        out_b = T.maxpool_steps([T.Tensor(step) for step in poisoned], lengths)
-        np.testing.assert_array_equal(out_a.data, out_b.data)
+        lengths = [5, 1, 3]
+        base = rng.standard_normal((6, 9))
+        out = T.maxpool_steps(T.Tensor(base), lengths).data
+        for b, cols in enumerate((slice(0, 5), slice(5, 6), slice(6, 9))):
+            poisoned = np.full_like(base, 1e9)
+            poisoned[:, cols] = base[:, cols]
+            np.testing.assert_array_equal(T.maxpool_steps(T.Tensor(poisoned), lengths).data[:, b],
+                                          out[:, b])
+            np.testing.assert_array_equal(out[:, b], base[:, cols].max(axis=1).astype(np.float32))
 
     def test_lengths_out_of_range(self):
-        steps = [T.Tensor(np.zeros((2, 1))) for _ in range(3)]
-        with pytest.raises(ValueError):
-            T.maxpool_steps(steps, [4])
-        with pytest.raises(ValueError):
-            T.maxpool_steps(steps, [0])
+        x = T.Tensor(np.zeros((2, 3)))
+        for lengths in ([4], [2], [0, 3], [], [[3]]):
+            with pytest.raises(ValueError):
+                T.maxpool_steps(x, lengths)
 
     def test_tie_goes_to_earliest_step(self, f64):
-        steps = [T.Tensor([[v]], requires_grad=True) for v in (1.0, 1.0, 0.5)]
-        T.backward(T.sum_all(T.maxpool_steps(steps, [3])))
-        assert [step.grad[0, 0] for step in steps] == [1.0, 0.0, 0.0]
+        x = T.Tensor([[0.5, 1.0, 1.0, 0.5]], requires_grad=True)
+        T.backward(T.sum_all(T.maxpool_steps(x, [1, 3])))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 0.0, 0.0]])
 
 
 class TestSoftmaxColumns:
@@ -305,6 +308,13 @@ class TestGradCheckHarness:
         with pytest.raises(ValueError):
             grad_check(T.sum_all, T.Tensor([[1.0]]), eps=0.0)
 
+    def test_every_differentiable_op_has_a_case(self):
+        from emofuse.gradcheck import _op_cases
+        not_ops = {"Tensor", "zeros", "precision", "backward"}
+        cases = _op_cases(np.random.default_rng(0))
+        checked = {name.split("/")[0].split(" ")[0] for name, _, _ in cases}
+        assert checked == set(T.__all__) - not_ops
+
 
 class TestPrecisionConfig:
     def test_default_is_float32(self):
@@ -355,51 +365,74 @@ class TestColumnOps:
         with pytest.raises(DimensionError):
             T.concat_cols(T.zeros((2, 1)), T.zeros((3, 1)))
 
-    def test_take_cols_gathers_and_fills_zero(self):
-        x = T.Tensor([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(T.take_cols(x, [2, -1, 0]).data, [[3, 0, 1]])
 
-    def test_take_cols_rejects_repeats_and_range(self):
-        x = T.zeros((1, 3))
-        for cols in ([0, 0], [3], [-2]):
-            with pytest.raises(ValueError):
-                T.take_cols(x, cols)
-
-
-def lstm_step_reference(x_proj, state, w_h, bias):
-    """Plain numpy LSTM step: gates i, f, g, o from (x_proj + W_h·h) + b."""
-    hidden = state.shape[0] // 2
-    h, c = state[:hidden], state[hidden:]
-    pre = (x_proj + w_h @ h) + bias[:, None]
+def lstm_reference(x_proj, w_h, bias, reverse=False):
+    """Plain numpy LSTM over one sequence x_proj [4H × n], state starting at
+    zero: gates i, f, g, o from (x_proj + W_h·h) + b."""
+    hidden = w_h.shape[1]
+    h, c = np.zeros((hidden, 1)), np.zeros((hidden, 1))
+    out = np.zeros((hidden, x_proj.shape[1]))
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
-    i, f = sig(pre[:hidden]), sig(pre[hidden:2 * hidden])
-    g, o = np.tanh(pre[2 * hidden:3 * hidden]), sig(pre[3 * hidden:])
-    c_new = i * g + f * c
-    return np.concatenate([o * np.tanh(c_new), c_new])
+    steps = range(x_proj.shape[1])
+    for t in (reversed(steps) if reverse else steps):
+        pre = (x_proj[:, t:t + 1] + w_h @ h) + bias[:, None]
+        i, f = sig(pre[:hidden]), sig(pre[hidden:2 * hidden])
+        g, o = np.tanh(pre[2 * hidden:3 * hidden]), sig(pre[3 * hidden:])
+        c = i * g + f * c
+        h = o * np.tanh(c)
+        out[:, t:t + 1] = h
+    return out
+
+
+def split_packed(x, lengths):
+    return np.split(x, np.cumsum(lengths)[:-1], axis=1)
 
 
 class TestLstmCell:
-    def _args(self, hidden=3, batch=4, seed=0):
+    def _args(self, lengths, hidden=3, seed=0):
         rng = np.random.default_rng(seed)
-        return (rng.standard_normal((4 * hidden, batch)), rng.standard_normal((2 * hidden, batch)),
+        return (rng.standard_normal((4 * hidden, sum(lengths))),
                 rng.standard_normal((4 * hidden, hidden)), rng.standard_normal(4 * hidden))
 
-    def test_valid_columns_match_reference(self, f64):
-        args = self._args()
-        out = T.lstm_cell(*map(T.Tensor, args), np.ones(4, dtype=bool))
-        np.testing.assert_allclose(out.data, lstm_step_reference(*args), rtol=0, atol=1e-14)
+    def _check_against_reference(self, lengths):
+        x_proj, w_h, bias = self._args(lengths)
+        for reverse in (False, True):
+            out = T.lstm(*map(T.Tensor, (x_proj, w_h, bias)), lengths, reverse)
+            assert out.shape == (3, sum(lengths))
+            for got, xp in zip(split_packed(out.data, lengths), split_packed(x_proj, lengths)):
+                np.testing.assert_allclose(got, lstm_reference(xp, w_h, bias, reverse),
+                                           rtol=0, atol=1e-14)
 
-    def test_padded_columns_carry_state_exactly(self, f64):
-        args = self._args()
-        valid = np.array([True, False, True, False])
-        out = T.lstm_cell(*map(T.Tensor, args), valid)
-        np.testing.assert_array_equal(out.data[:, ~valid], args[1][:, ~valid])
-        np.testing.assert_allclose(out.data[:, valid], lstm_step_reference(*args)[:, valid],
-                                   rtol=0, atol=1e-14)
+    def test_valid_columns_match_reference(self, f64):
+        self._check_against_reference([4, 4, 4])
+
+    def test_ragged_sequences_match_reference(self, f64):
+        self._check_against_reference([3, 1, 5, 2])
 
     def test_shape_mismatch(self):
-        x_proj, state, w_h, bias = map(T.Tensor, self._args())
+        x_proj, w_h, bias = map(T.Tensor, self._args([2, 2]))
         with pytest.raises(DimensionError):
-            T.lstm_cell(x_proj, state, w_h, bias, np.ones(3, dtype=bool))
+            T.lstm(T.slice_rows(x_proj, 0, 8), w_h, bias, [2, 2])
         with pytest.raises(DimensionError):
-            T.lstm_cell(T.slice_rows(x_proj, 0, 8), state, w_h, bias, np.ones(4, dtype=bool))
+            T.lstm(x_proj, w_h, T.Tensor(bias.data[:8]), [2, 2])
+        for lengths in ([2, 3], [4, 0], []):
+            with pytest.raises(ValueError):
+                T.lstm(x_proj, w_h, bias, lengths)
+
+    def test_packed_gradients_match_one_at_a_time(self, f64):
+        lengths = [3, 1, 5, 2]
+        x_proj, w_h, bias = self._args(lengths)
+        weigh = np.random.default_rng(1).standard_normal((3, sum(lengths)))
+        for reverse in (False, True):
+            packed = [T.Tensor(a, requires_grad=True) for a in (x_proj, w_h, bias)]
+            T.backward(T.sum_all(T.hadamard(T.lstm(*packed, lengths, reverse), T.Tensor(weigh))))
+            x_grads, w_grad, b_grad = [], 0.0, 0.0
+            for xp, wg in zip(split_packed(x_proj, lengths), split_packed(weigh, lengths)):
+                alone = [T.Tensor(a, requires_grad=True) for a in (xp, w_h, bias)]
+                out = T.lstm(*alone, [xp.shape[1]], reverse)
+                T.backward(T.sum_all(T.hadamard(out, T.Tensor(wg))))
+                x_grads.append(alone[0].grad)
+                w_grad, b_grad = w_grad + alone[1].grad, b_grad + alone[2].grad
+            for got, want in zip((p.grad for p in packed),
+                                 (np.concatenate(x_grads, axis=1), w_grad, b_grad)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
