@@ -12,13 +12,13 @@ from .data import (EMOTIONS, EmbeddingTable, FoldPlan, PreparedSample,
                    load_manifest, prepare_record, save_manifest,
                    synth_dataset)
 from .dsp import (AudioClip, FrameFeatureMatrix, extract_llf, frame_signal,
-                  mfcc, read_wav, utterance_features, write_wav)
+                  read_wav, utterance_features, write_wav)
 from .errors import DimensionError, DivergenceError, EmofuseError, InputError
 from .estimator import EmotionRecognizer, LowLevelFeatureExtractor
 from .gradcheck import check_all_ops, check_model, grad_check
 from .model import (Checkpoint, FusionMode, ModelParams, acoustic_encode,
                     cross_modality_excite, forward, forward_batch, init_params,
-                    load_checkpoint, loss, save_checkpoint, semantic_encode)
+                    load_checkpoint, loss, save_checkpoint)
 from .tensor import Tensor, backward, precision
 from .training import (CrossValReport, EvalReport, TrainConfig, adam_step,
                        cross_validate, evaluate, run_ablation, train_fold)
@@ -31,14 +31,14 @@ __all__ = [
     "EMOTIONS", "EmbeddingTable", "FoldPlan", "PreparedSample",
     "UtteranceRecord", "kfold_split", "load_embeddings", "load_manifest",
     "prepare_record", "save_manifest", "synth_dataset",
-    "AudioClip", "FrameFeatureMatrix", "extract_llf", "frame_signal", "mfcc",
+    "AudioClip", "FrameFeatureMatrix", "extract_llf", "frame_signal",
     "read_wav", "utterance_features", "write_wav",
     "DimensionError", "DivergenceError", "EmofuseError", "InputError",
     "EmotionRecognizer", "LowLevelFeatureExtractor",
     "check_all_ops", "check_model", "grad_check",
     "Checkpoint", "FusionMode", "ModelParams", "acoustic_encode",
     "cross_modality_excite", "forward", "forward_batch", "init_params",
-    "load_checkpoint", "loss", "save_checkpoint", "semantic_encode",
+    "load_checkpoint", "loss", "save_checkpoint",
     "Tensor", "backward", "precision",
     "CrossValReport", "EvalReport", "TrainConfig", "adam_step",
     "cross_validate", "evaluate", "run_ablation", "train_fold",

@@ -8,9 +8,10 @@ with sklearn tooling without this package depending on it.
 from __future__ import annotations
 
 import inspect
+from numbers import Integral
 from typing import Sequence
 
-from .data import EmbeddingTable, UtteranceRecord, load_embeddings
+from .data import EMOTIONS, EmbeddingTable, UtteranceRecord, load_embeddings
 from .errors import InputError
 
 
@@ -59,10 +60,18 @@ def check_records(records) -> list[UtteranceRecord]:
 
 
 def check_labels(records: Sequence[UtteranceRecord], y) -> list[int]:
-    """Labels from y if given (overriding the records), else from the records."""
+    """Labels from y if given (overriding the records), else from the records.
+
+    A label must be an integer (numpy integers included) in 0..3; int()
+    would truncate 1.9 to 1 and read True as 1.
+    """
     if y is None:
         return [r.label for r in records]
-    labels = [int(v) for v in y]
+    labels = []
+    for v in y:
+        if not isinstance(v, Integral) or isinstance(v, bool) or not 0 <= v < len(EMOTIONS):
+            raise InputError(f"label {v!r} is not an integer in 0..{len(EMOTIONS) - 1}")
+        labels.append(int(v))
     if len(labels) != len(records):
         raise InputError(f"y has {len(labels)} labels for {len(records)} records")
     return labels

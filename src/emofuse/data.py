@@ -84,10 +84,11 @@ def _text_lines(path):
                 raise InputError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
 
 
-def _json_int(value, what: str) -> int:
-    # int() would truncate 1.9 to 1 and accept true and "3"
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
+def _json_typed(value, kind: type, what: str):
+    # int() would truncate 1.9 to 1 and accept true and "3"; str() would turn
+    # null and 7 into "None" and "7", which can match a real token or id
+    if type(value) is not kind:
+        raise ValueError(f"{what} {value!r} is not a JSON {kind.__name__}")
     return value
 
 
@@ -103,12 +104,13 @@ def load_manifest(path) -> list[UtteranceRecord]:
             continue
         try:
             payload = json.loads(line)
-            words = [WordSpan(str(t), _json_int(s, "span start"), _json_int(e, "span end"))
+            words = [WordSpan(_json_typed(t, str, "word token"), _json_typed(s, int, "span start"),
+                              _json_typed(e, int, "span end"))
                      for t, s, e in payload["words"]]
             record = UtteranceRecord(
-                id=str(payload["id"]),
+                id=_json_typed(payload["id"], str, "record id"),
                 words=words,
-                label=_json_int(payload["label"], "label"),
+                label=_json_typed(payload["label"], int, "label"),
                 audio_path=payload.get("audio_path"),
                 features_path=payload.get("features_path"),
             )
@@ -152,9 +154,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self._vectors)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
 
     def lookup(self, token: str) -> tuple[np.ndarray, bool]:
         """Returns (vector, is_oov)."""
@@ -226,6 +225,11 @@ def kfold_split(records: Sequence[UtteranceRecord], k: int = 5, seed: int = 0) -
     if len(records) < k:
         raise InputError(f"need at least k={k} records, got {len(records)}")
     ids = [r.id for r in records]
+    seen: set[str] = set()
+    for rid in ids:
+        if rid in seen:
+            raise InputError(f"record id {rid!r} appears more than once")
+        seen.add(rid)
     shuffled = list(ids)
     random.Random(seed).shuffle(shuffled)
     plan = FoldPlan(k=k)

@@ -21,7 +21,7 @@ batched real FFT per clip (Hamming window, zero-padded to the next power of
 two) gives the [n × bins] magnitude matrix that every spectral feature
 shares; each feature is then a row operation over the frame or spectrum
 matrix, so a whole clip costs one FFT call and no per-frame Python loop.
-The single-frame functions run the same code with n = 1.
+``extract_llf``, the features of one frame, runs the same code with n = 1.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 _EPS = 1e-10
+_MEL_BANDS = 40
 
 
 def feature_order_hash() -> str:
@@ -80,8 +81,6 @@ class FrameFeatureMatrix:
     """Feature column per frame: shape [34 × n]."""
 
     features: np.ndarray
-    frame_width_ms: int = FRAME_WIDTH_MS
-    frame_step_ms: int = FRAME_STEP_MS
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -149,7 +148,7 @@ def frame_signal(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
 
 
 # ---------------------------------------------------------------------------
-# features of a [n × win] frame matrix; the per-frame functions are its n=1 case
+# features of a [n × win] frame matrix; extract_llf is its n=1 case
 
 
 def _next_pow2(n: int) -> int:
@@ -162,15 +161,15 @@ def _hamming(length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
-    """Triangular filters [n_mels × nfft//2+1] on the HTK mel scale, 0..Nyquist."""
+def _mel_filterbank(nfft: int, sample_rate: int) -> np.ndarray:
+    """Triangular filters [40 × nfft//2+1] on the HTK mel scale, 0..Nyquist."""
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + hz / 700.0)
 
     def to_hz(mel):
         return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
 
-    edges = to_hz(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2))
+    edges = to_hz(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), _MEL_BANDS + 2))
     bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
     left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_hz - left) / (center - left)
@@ -178,11 +177,13 @@ def _mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-@lru_cache(maxsize=8)
-def _dct_matrix(n_coeffs: int, n: int) -> np.ndarray:
-    """Orthonormal DCT-II rows: D[k, i] = s_k cos(pi (2i+1) k / 2n)."""
+@lru_cache(maxsize=1)
+def _dct_matrix() -> np.ndarray:
+    """The first 13 orthonormal DCT-II rows over the mel bands:
+    D[k, i] = s_k cos(pi (2i+1) k / 2n), n = 40."""
+    n = _MEL_BANDS
     i = np.arange(n)
-    mat = np.cos(np.pi * np.outer(np.arange(n_coeffs), 2 * i + 1) / (2 * n))
+    mat = np.cos(np.pi * np.outer(np.arange(13), 2 * i + 1) / (2 * n))
     mat[0] *= np.sqrt(1.0 / n)
     mat[1:] *= np.sqrt(2.0 / n)
     return mat
@@ -217,17 +218,6 @@ def _entropy_rows(parts: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=1)
 
 
-def _zcr_rows(frames: np.ndarray) -> np.ndarray:
-    """Sign changes per adjacent pair of each row; sign(0) counts as +1."""
-    return np.count_nonzero(np.diff(frames >= 0.0, axis=1), axis=1) / (frames.shape[1] - 1)
-
-
-def _mfcc_rows(power: np.ndarray, nfft: int, sample_rate: int,
-               n_mels: int = 40, n_coeffs: int = 13) -> np.ndarray:
-    energies = power @ _mel_filterbank(n_mels, nfft, sample_rate).T
-    return np.log(np.maximum(energies, _EPS)) @ _dct_matrix(n_coeffs, n_mels).T
-
-
 def _frame_features(frames: np.ndarray, sample_rate: int,
                     prev_frame: np.ndarray | None = None) -> np.ndarray:
     """The [34 × n] feature matrix of a [n × win] frame matrix.
@@ -247,7 +237,8 @@ def _frame_features(frames: np.ndarray, sample_rate: int,
     out = np.empty((N_FEATURES, n), dtype=np.float64)
 
     squares = frames * frames
-    out[0] = _zcr_rows(frames)
+    # sign changes per adjacent pair; sign(0) counts as +1
+    out[0] = np.count_nonzero(np.diff(frames >= 0.0, axis=1), axis=1) / (win - 1)
     out[1] = squares.mean(axis=1)
     n_blocks = min(8, win)
     blocks = squares[:, :n_blocks * (win // n_blocks)].reshape(n, n_blocks, -1)
@@ -274,38 +265,12 @@ def _frame_features(frames: np.ndarray, sample_rate: int,
     reached = np.cumsum(power, axis=1) >= 0.90 * total_power[:, None]
     out[7] = np.argmax(reached, axis=1) / n_bins
 
-    out[8:21] = _mfcc_rows(power, nfft, sample_rate).T
+    mel_energies = power @ _mel_filterbank(nfft, sample_rate).T
+    out[8:21] = (np.log(np.maximum(mel_energies, _EPS)) @ _dct_matrix().T).T
     chroma = _normalize_rows(power @ _chroma_indicator(nfft, sample_rate).T, total_power)
     out[21:33] = chroma.T
     out[33] = chroma.std(axis=1)
     return out
-
-
-def zero_crossing_rate(frame: np.ndarray) -> float:
-    """Crossings per adjacent pair, in [0, 1]; sign(0) counts as +1."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return float(_zcr_rows(frame[None])[0]) if frame.size >= 2 else 0.0
-
-
-def short_time_energy(frame: np.ndarray) -> float:
-    """Mean of squared samples."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return float(np.mean(frame * frame))
-
-
-def mfcc(frame: np.ndarray, sample_rate: int, n_mels: int = 40,
-         n_coeffs: int = 13) -> np.ndarray:
-    """Mel-frequency cepstral coefficients of one frame.
-
-    Hamming window -> zero-padded power spectrum -> triangular mel
-    filterbank -> natural log (floored at 1e-10) -> orthonormal DCT-II,
-    first n_coeffs kept.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 2:
-        raise InputError(f"mfcc needs a frame of at least 2 samples, got {frame.size}")
-    mag = _magnitudes(frame[None])
-    return _mfcc_rows(mag * mag, _next_pow2(frame.size), sample_rate, n_mels, n_coeffs)[0]
 
 
 def extract_llf(frame: np.ndarray, sample_rate: int,
@@ -323,4 +288,4 @@ def utterance_features(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
                        step_ms: int = FRAME_STEP_MS) -> FrameFeatureMatrix:
     """Feature matrix [34 × n] for a whole clip; column i describes frame i."""
     frames = frame_signal(clip, width_ms, step_ms)
-    return FrameFeatureMatrix(_frame_features(frames, clip.sample_rate), width_ms, step_ms)
+    return FrameFeatureMatrix(_frame_features(frames, clip.sample_rate))

@@ -7,6 +7,8 @@ shapes and seeds and is what the ``gradcheck`` CLI subcommand runs.
 
 from __future__ import annotations
 
+import zlib
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -65,140 +67,138 @@ def _distinct(rng: np.random.Generator, shape):
     return rng.permutation(vals).reshape(shape)
 
 
-def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, T.Tensor]]:
-    """One (name, scalar function, input) case per differentiable op.
+def _dim(rng: np.random.Generator) -> int:
+    return int(rng.integers(1, 7))
 
-    Shapes are drawn from {1..6}. Where an op has several differentiable
-    arguments, each gets its own case with the others held fixed.
-    """
-    def dim() -> int:
-        return int(rng.integers(1, 7))
 
-    r, k, c = dim(), dim(), dim()
-    cases: list[tuple[str, Callable, T.Tensor]] = []
+def _on_matrix(rng: np.random.Generator, op: Callable, min_rows: int = 1, min_cols: int = 1):
+    """Case for sum_all(op(x)) at a random x of at least min_rows × min_cols."""
+    x = rng.standard_normal((max(min_rows, _dim(rng)), max(min_cols, _dim(rng))))
+    return (lambda probe: T.sum_all(op(probe))), T.Tensor(x)
 
-    b_fixed = T.Tensor(rng.standard_normal((k, c)))
-    cases.append(("matmul/a", lambda a: T.sum_all(T.matmul(a, b_fixed)),
-                  T.Tensor(rng.standard_normal((r, k)))))
-    a_fixed = T.Tensor(rng.standard_normal((r, k)))
-    cases.append(("matmul/b", lambda b: T.sum_all(T.matmul(a_fixed, b)),
-                  T.Tensor(rng.standard_normal((k, c)))))
 
-    cin, cout, kw, n = dim(), dim(), dim(), dim()
-    x_fixed = T.Tensor(rng.standard_normal((cin, n)))
-    f_fixed = T.Tensor(rng.standard_normal((cout, cin, kw)))
-    bias_fixed = T.Tensor(rng.standard_normal(cout))
-    cases.append(("conv1d_same/x", lambda x: T.sum_all(T.conv1d_same(x, f_fixed, bias_fixed)),
-                  T.Tensor(rng.standard_normal((cin, n)))))
-    cases.append(("conv1d_same/filters", lambda f: T.sum_all(T.conv1d_same(x_fixed, f, bias_fixed)),
-                  T.Tensor(rng.standard_normal((cout, cin, kw)))))
-    cases.append(("conv1d_same/bias", lambda b: T.sum_all(T.conv1d_same(x_fixed, f_fixed, b)),
-                  T.Tensor(rng.standard_normal(cout))))
-
-    shape = (dim(), dim())
-    cases.append(("sigmoid", lambda x: T.sum_all(T.sigmoid(x)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("tanh", lambda x: T.sum_all(T.tanh(x)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("relu", lambda x: T.sum_all(T.relu(x)),
-                  T.Tensor(_away_from_zero(rng, shape))))
-
+def _with_other(rng: np.random.Generator, op: Callable):
+    """Case for sum_all(op(x, other)), other a fixed matrix of x's shape."""
+    shape = (_dim(rng), _dim(rng))
     other = T.Tensor(rng.standard_normal(shape))
-    cases.append(("hadamard", lambda a: T.sum_all(T.hadamard(a, other)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("add", lambda a: T.sum_all(T.add(a, other)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("scale", lambda x: T.sum_all(T.scale(x, 1.7)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("add_bias/bias", lambda b: T.sum_all(T.add_bias(other, b)),
-                  T.Tensor(rng.standard_normal(shape[0]))))
+    return (lambda probe: T.sum_all(op(probe, other))), T.Tensor(rng.standard_normal(shape))
 
-    w_fixed = T.Tensor(rng.standard_normal((dim(), shape[0])))
-    lb_fixed = T.Tensor(rng.standard_normal(w_fixed.shape[0]))
-    cases.append(("linear/x", lambda x: T.sum_all(T.linear(x, w_fixed, lb_fixed)),
-                  T.Tensor(rng.standard_normal(shape))))
-    cases.append(("linear/weight", lambda w: T.sum_all(T.linear(other, w, lb_fixed)),
-                  T.Tensor(rng.standard_normal(w_fixed.shape))))
-    cases.append(("linear/bias", lambda b: T.sum_all(T.linear(other, w_fixed, b)),
-                  T.Tensor(rng.standard_normal(w_fixed.shape[0]))))
 
-    cases.append(("concat_rows", lambda a: T.sum_all(T.sigmoid(T.concat_rows(a, other))),
-                  T.Tensor(rng.standard_normal(shape))))
-    d2 = (max(2, shape[0]), shape[1])
-    cases.append(("slice_rows", lambda x: T.sum_all(T.sigmoid(T.slice_rows(x, 0, d2[0] - 1))),
-                  T.Tensor(rng.standard_normal(d2))))
-    d3 = (shape[0], max(2, shape[1]))
-    cases.append(("slice_cols", lambda x: T.sum_all(T.sigmoid(T.slice_cols(x, 1, d3[1]))),
-                  T.Tensor(rng.standard_normal(d3))))
-    cases.append(("mean_cols", lambda x: T.sum_all(T.sigmoid(T.mean_cols(x))),
-                  T.Tensor(rng.standard_normal(shape))))
+def _probe(operands: dict[str, np.ndarray], arg: str, f: Callable):
+    """Case for operand arg of f(**operands), the other operands held fixed."""
+    fixed = {name: T.Tensor(value) for name, value in operands.items()}
+    return (lambda probe: f(**{**fixed, arg: probe})), fixed[arg]
 
-    batch, steps_n = dim(), max(2, dim())
-    lengths = [int(rng.integers(1, steps_n + 1)) for _ in range(batch)]
-    pool_d = dim()
-    # one distinct value per (step, row, sequence); each sequence keeps its
-    # first lengths[b] steps, packed one sequence after another
-    stack = _distinct(rng, (steps_n, pool_d, batch))
-    pooled_in = np.concatenate([stack[:n, :, b].T for b, n in enumerate(lengths)], axis=1)
-    cases.append(("maxpool_steps", lambda x: T.sum_all(T.maxpool_steps(x, lengths)),
-                  T.Tensor(pooled_in)))
 
-    pack_d, pack_b, pack_tmax = dim(), 3, max(2, dim())
-    pack_lens = [int(rng.integers(1, pack_tmax + 1)) for _ in range(pack_b)]
-    pack_cols = sum(pack_lens)
+def _matmul(rng: np.random.Generator, arg: str):
+    r, k, c = _dim(rng), _dim(rng), _dim(rng)
+    operands = {"a": rng.standard_normal((r, k)), "b": rng.standard_normal((k, c))}
+    return _probe(operands, arg, lambda a, b: T.sum_all(T.matmul(a, b)))
 
-    def pack(x: T.Tensor) -> T.Tensor:
-        parts, at = [], 0
-        for ln in pack_lens:
-            parts.append(T.slice_cols(x, at, at + ln))
-            at += ln
-        return T.sum_all(T.sigmoid(T.pad_stack_time_major(parts, pack_tmax)))
 
-    cases.append(("pad_stack_time_major", pack, T.Tensor(rng.standard_normal((pack_d, pack_cols)))))
+def _conv1d_same(rng: np.random.Generator, arg: str, n: int | None = None):
+    """A fixed n shorter than the kernel checks the zero padding at both ends."""
+    cin, cout, kw = _dim(rng), _dim(rng), _dim(rng)
+    if n is None:
+        n = _dim(rng)
+    else:
+        kw = n + int(rng.integers(1, 5))
+    operands = {"x": rng.standard_normal((cin, n)), "filters": rng.standard_normal((cout, cin, kw)),
+                "bias": rng.standard_normal(cout)}
+    return _probe(operands, arg,
+                  lambda x, filters, bias: T.sum_all(T.sigmoid(T.conv1d_same(x, filters, bias))))
 
-    sm_shape = (max(2, dim()), dim())
-    cases.append(("softmax_columns", lambda x: T.sum_all(T.sigmoid(T.softmax_columns(x))),
-                  T.Tensor(rng.standard_normal(sm_shape))))
 
-    n_classes = 4
-    labels = rng.integers(0, n_classes, size=sm_shape[1])
-    onehot = np.zeros((n_classes, sm_shape[1]))
-    onehot[labels, np.arange(sm_shape[1])] = 1.0
-    cases.append(("cross_entropy/fused", lambda z: T.cross_entropy(T.softmax_columns(z), onehot),
-                  T.Tensor(rng.standard_normal((n_classes, sm_shape[1])))))
+def _linear(rng: np.random.Generator, arg: str):
+    d_in, d_out, m = _dim(rng), _dim(rng), _dim(rng)
+    operands = {"x": rng.standard_normal((d_in, m)), "weight": rng.standard_normal((d_out, d_in)),
+                "bias": rng.standard_normal(d_out)}
+    return _probe(operands, arg, lambda x, weight, bias: T.sum_all(T.linear(x, weight, bias)))
 
-    probs_raw = rng.uniform(0.05, 1.0, size=(n_classes, sm_shape[1]))
 
-    def ce_plain(q: T.Tensor) -> T.Tensor:
-        col = T.Tensor(1.0 / probs_raw.sum(axis=0, keepdims=True) * np.ones_like(probs_raw))
-        return T.cross_entropy(T.hadamard(q, col), onehot)
+def _add_bias(rng: np.random.Generator):
+    d, m = _dim(rng), _dim(rng)
+    operands = {"x": rng.standard_normal((d, m)), "bias": rng.standard_normal(d)}
+    return _probe(operands, "bias", lambda x, bias: T.sum_all(T.add_bias(x, bias)))
 
-    cases.append(("cross_entropy/plain", ce_plain, T.Tensor(probs_raw)))
 
-    # ops added later draw after every older case, so the older cases keep
-    # their random shapes and values
-    for label, n_short in (("n=1", 1), ("n<k", 2)):
-        k_long = n_short + int(rng.integers(1, 5))
-        f_long = T.Tensor(rng.standard_normal((cout, cin, k_long)))
-        cases.append((f"conv1d_same/x {label}",
-                      lambda x, f_long=f_long: T.sum_all(T.sigmoid(T.conv1d_same(x, f_long, bias_fixed))),
-                      T.Tensor(rng.standard_normal((cin, n_short)))))
-    cases.append(("concat_cols", lambda a: T.sum_all(T.sigmoid(T.concat_cols(other, a, other))),
-                  T.Tensor(rng.standard_normal(shape))))
+def _maxpool_steps(rng: np.random.Generator):
+    lengths = [_dim(rng) for _ in range(_dim(rng))]
+    x = _distinct(rng, (_dim(rng), sum(lengths)))
+    return (lambda probe: T.sum_all(T.maxpool_steps(probe, lengths))), T.Tensor(x)
 
-    hid, seq_lens = dim(), [3, 1, 4]
-    weigh = T.Tensor(rng.standard_normal((hid, sum(seq_lens))))
-    lstm_args = {"x_proj": (4 * hid, sum(seq_lens)), "w_h": (4 * hid, hid), "bias": (4 * hid,)}
-    fixed = {name: T.Tensor(0.5 * rng.standard_normal(shp)) for name, shp in lstm_args.items()}
-    for label, reverse in (("forward", False), ("reverse", True)):
-        for name, shp in lstm_args.items():
-            def run(probe, _name=name, _reverse=reverse):
-                args = {**fixed, _name: probe}
-                out = T.lstm(args["x_proj"], args["w_h"], args["bias"], seq_lens, _reverse)
-                return T.sum_all(T.hadamard(out, weigh))
-            cases.append((f"lstm/{name} {label}", run, T.Tensor(0.5 * rng.standard_normal(shp))))
-    cases.append(("sum_all", T.sum_all, T.Tensor(rng.standard_normal(shape))))
-    return cases
+
+def _pad_stack_time_major(rng: np.random.Generator):
+    t_max = max(2, _dim(rng))
+    bounds = np.cumsum([0] + [int(rng.integers(1, t_max + 1)) for _ in range(3)])
+
+    def f(x: T.Tensor) -> T.Tensor:
+        parts = [T.slice_cols(x, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+        return T.sum_all(T.sigmoid(T.pad_stack_time_major(parts, t_max)))
+
+    return f, T.Tensor(rng.standard_normal((_dim(rng), bounds[-1])))
+
+
+def _cross_entropy(rng: np.random.Generator):
+    m = _dim(rng)
+    onehot = np.eye(4)[:, rng.integers(0, 4, size=m)]
+    logits = T.Tensor(rng.standard_normal((4, m)))
+    return (lambda z: T.cross_entropy(T.softmax_columns(z), onehot)), logits
+
+
+def _lstm(rng: np.random.Generator, arg: str, reverse: bool):
+    hid, lengths = _dim(rng), [3, 1, 4]
+    weigh = T.Tensor(rng.standard_normal((hid, sum(lengths))))
+    operands = {"x_proj": 0.5 * rng.standard_normal((4 * hid, sum(lengths))),
+                "w_h": 0.5 * rng.standard_normal((4 * hid, hid)),
+                "bias": 0.5 * rng.standard_normal(4 * hid)}
+    return _probe(operands, arg, lambda x_proj, w_h, bias: T.sum_all(
+        T.hadamard(T.lstm(x_proj, w_h, bias, lengths, reverse), weigh)))
+
+
+# Every differentiable op, one case per differentiable argument, each built
+# from a generator of its own: name -> rng -> (scalar function, input).
+_CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = {
+    **{f"matmul/{arg}": partial(_matmul, arg=arg) for arg in ("a", "b")},
+    **{f"conv1d_same/{arg}": partial(_conv1d_same, arg=arg) for arg in ("x", "filters", "bias")},
+    "conv1d_same/x n=1": partial(_conv1d_same, arg="x", n=1),
+    "conv1d_same/x n<k": partial(_conv1d_same, arg="x", n=2),
+    **{f"linear/{arg}": partial(_linear, arg=arg) for arg in ("x", "weight", "bias")},
+    "add_bias/bias": _add_bias,
+    "sigmoid": lambda rng: _on_matrix(rng, T.sigmoid),
+    "tanh": lambda rng: _on_matrix(rng, T.tanh),
+    "relu": lambda rng: (lambda x: T.sum_all(T.relu(x)),
+                         T.Tensor(_away_from_zero(rng, (_dim(rng), _dim(rng))))),
+    "scale": lambda rng: _on_matrix(rng, lambda x: T.scale(x, 1.7)),
+    "hadamard": lambda rng: _with_other(rng, T.hadamard),
+    "add": lambda rng: _with_other(rng, T.add),
+    "concat_rows": lambda rng: _with_other(rng, lambda x, o: T.sigmoid(T.concat_rows(x, o))),
+    "concat_cols": lambda rng: _with_other(rng, lambda x, o: T.sigmoid(T.concat_cols(o, x, o))),
+    "slice_rows": lambda rng: _on_matrix(
+        rng, lambda x: T.sigmoid(T.slice_rows(x, 0, x.shape[0] - 1)), min_rows=2),
+    "slice_cols": lambda rng: _on_matrix(
+        rng, lambda x: T.sigmoid(T.slice_cols(x, 1, x.shape[1])), min_cols=2),
+    "mean_cols": lambda rng: _on_matrix(rng, lambda x: T.sigmoid(T.mean_cols(x))),
+    "sum_all": lambda rng: _on_matrix(rng, lambda x: x),
+    "maxpool_steps": _maxpool_steps,
+    "pad_stack_time_major": _pad_stack_time_major,
+    "softmax_columns": lambda rng: _on_matrix(
+        rng, lambda x: T.sigmoid(T.softmax_columns(x)), min_rows=2),
+    "cross_entropy": _cross_entropy,
+    **{f"lstm/{arg} {direction}": partial(_lstm, arg=arg, reverse=direction == "reverse")
+       for direction in ("forward", "reverse") for arg in ("x_proj", "w_h", "bias")},
+}
+
+
+def _op_cases(seed: int) -> list[tuple[str, Callable, T.Tensor]]:
+    """One (name, scalar function, input) case per entry of ``_CASES``.
+
+    Each case draws its shapes and operands from its own generator, seeded
+    by seed and a CRC of its name, so adding, renaming or deleting a case
+    leaves every other case's draws as they were.
+    """
+    return [(name, *build(np.random.default_rng([1000 + seed, zlib.crc32(name.encode())])))
+            for name, build in _CASES.items()]
 
 
 def check_all_ops(seeds=range(5), eps: float = 1e-5) -> dict[str, float]:
@@ -206,8 +206,7 @@ def check_all_ops(seeds=range(5), eps: float = 1e-5) -> dict[str, float]:
     results: dict[str, float] = {}
     with T.precision(64):
         for seed in seeds:
-            rng = np.random.default_rng(1000 + seed)
-            for name, f, x in _op_cases(rng):
+            for name, f, x in _op_cases(seed):
                 err = grad_check(f, x, eps=eps)
                 results[name] = max(results.get(name, 0.0), err)
     return results

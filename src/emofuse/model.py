@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .alignment import temporal_align_pool
-from .data import EmbeddingTable, PreparedSample
+from .data import PreparedSample
 from .dsp import N_FEATURES, feature_order_hash
 from .errors import InputError
 
@@ -212,17 +212,6 @@ def acoustic_encode(x: T.Tensor, params: ModelParams) -> T.Tensor:
     return acoustic_encode_batch([x], params)[0]
 
 
-def semantic_encode(tokens: Sequence[str], table: EmbeddingTable,
-                    params: ModelParams) -> T.Tensor:
-    """Token list -> 128×m embedding via the trainable projection.
-
-    Out-of-vocabulary tokens map to the zero vector, so their output
-    column is just the bias.
-    """
-    vectors, _ = table.matrix(list(tokens))
-    return T.linear(T.Tensor(vectors), params.sem_w, params.sem_b)
-
-
 def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
                           params: ModelParams) -> T.Tensor:
     """Scale pooled acoustic columns by a semantic sigmoid gate in (0, 1)."""
@@ -243,14 +232,8 @@ def _bilstm(g: T.Tensor, lengths: np.ndarray, params: ModelParams) -> T.Tensor:
 
 
 def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
-                  mode: FusionMode | str, pad_to: int | None = None,
-                  pool_mode: str = "sum") -> T.Tensor:
-    """Class probabilities [4 × B] for a batch of prepared samples.
-
-    The word columns of the batch are packed, so there is no padding; pad_to
-    only has to be at least the longest word count, and never changes the
-    result.
-    """
+                  mode: FusionMode | str, pool_mode: str = "sum") -> T.Tensor:
+    """Class probabilities [4 × B] for a batch of prepared samples."""
     mode = FusionMode.parse(mode)
     if not samples:
         raise InputError("forward_batch needs at least one sample")
@@ -265,8 +248,6 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
         z_s = T.concat_cols(*[T.mean_cols(zs) for zs in semantic])
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        if pad_to is not None and pad_to < lengths.max():
-            raise InputError(f"pad_to={pad_to} is below the longest word count {lengths.max()}")
         z_a = T.concat_cols(*[temporal_align_pool(za, s.alignment, pool_mode)
                               for za, s in zip(acoustic, samples)])
         z_s = T.concat_cols(*semantic)
@@ -281,9 +262,9 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
 
 
 def forward(sample: PreparedSample, params: ModelParams, mode: FusionMode | str,
-            pad_to: int | None = None, pool_mode: str = "sum") -> T.Tensor:
+            pool_mode: str = "sum") -> T.Tensor:
     """Class probabilities [4 × 1] for one utterance."""
-    return forward_batch([sample], params, mode, pad_to=pad_to, pool_mode=pool_mode)
+    return forward_batch([sample], params, mode, pool_mode=pool_mode)
 
 
 def loss(samples: Sequence[PreparedSample], params: ModelParams,

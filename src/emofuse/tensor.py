@@ -492,31 +492,23 @@ def softmax_columns(x: Tensor) -> Tensor:
 def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
     """−Σ y·log(p) summed over all columns of p [K×m]; y is one-hot [K×m].
 
-    When p came straight out of ``softmax_columns`` the gradient is routed
+    p must come straight out of ``softmax_columns``: the gradient is routed
     to the logits as (p − y), skipping the numerically fragile −y/p step.
     """
     _need_2d(p, "cross_entropy")
+    src = p._softmax_src
+    if src is None:
+        raise ValueError("cross_entropy expects the output of softmax_columns")
     y = np.asarray(y, dtype=p.data.dtype)
     if y.ndim == 1:
         y = y[:, None]
     if y.shape != p.shape:
         raise DimensionError(f"cross_entropy shapes differ: p {p.shape}, y {y.shape}")
-    col_sums = p.data.sum(axis=0)
-    if np.any(np.abs(col_sums - 1.0) > 1e-4):
-        raise ValueError("cross_entropy expects probability columns summing to 1")
     clamped = np.maximum(p.data, 1e-12)
     out_data = np.asarray(-(y * np.log(clamped)).sum(), dtype=p.data.dtype)
 
-    src = p._softmax_src
-    if src is not None and src.requires_grad:
-
-        def grad_fn(g: np.ndarray) -> None:
-            src.grad += g * (p.data - y)
-
-    else:
-
-        def grad_fn(g: np.ndarray) -> None:
-            p.grad += g * (-y / clamped)
+    def grad_fn(g: np.ndarray) -> None:
+        src.grad += g * (p.data - y)
 
     return _result(out_data, (p,), grad_fn, "cross_entropy")
 

@@ -102,6 +102,12 @@ class TestManifest:
                      id="label-string"),
         pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [["x", "0", 10]], "label": 0}',
                      id="span-string"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [[null, 0, 10]], "label": 0}',
+                     id="token-null"),
+        pytest.param(b'{"id": "b", "audio_path": "a.wav", "words": [[7, 0, 10]], "label": 0}',
+                     id="token-int"),
+        pytest.param(b'{"id": 7, "audio_path": "a.wav", "words": [["x", 0, 10]], "label": 0}',
+                     id="id-int"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"
@@ -189,6 +195,13 @@ class TestKfoldSplit:
     def test_too_few_records(self):
         with pytest.raises(InputError):
             data.kfold_split([make_record("a")], k=5, seed=0)
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        # two synthetic sets share their ids, so each id appears twice
+        records = (data.synth_dataset(tmp_path / "one", 1, seed=1).records
+                   + data.synth_dataset(tmp_path / "two", 1, seed=2).records)
+        with pytest.raises(InputError, match=repr(records[0].id)):
+            data.kfold_split(records, k=2)
 
 
 class TestTensorFiles:

@@ -179,50 +179,57 @@ class TestFraming:
 
 
 class TestZeroCrossingRate:
+    """Row 0 of the one-frame feature vector."""
+
     def test_constant_positive(self):
-        assert dsp.zero_crossing_rate(np.ones(100)) == 0.0
+        assert dsp.extract_llf(np.ones(100), 16000)[0] == 0.0
 
     def test_alternating_is_max(self):
         frame = np.tile([1.0, -1.0], 200)
-        assert dsp.zero_crossing_rate(frame) == 1.0
+        assert dsp.extract_llf(frame, 16000)[0] == 1.0
 
     def test_single_crossing(self):
         frame = np.concatenate([np.ones(200), -np.ones(200)])
-        assert dsp.zero_crossing_rate(frame) == pytest.approx(2.0 / (2.0 * 399))
+        assert dsp.extract_llf(frame, 16000)[0] == pytest.approx(2.0 / (2.0 * 399))
 
 
 class TestShortTimeEnergy:
+    """Row 1 of the one-frame feature vector."""
+
     def test_zeros(self):
-        assert dsp.short_time_energy(np.zeros(64)) == 0.0
+        assert dsp.extract_llf(np.zeros(64), 16000)[1] == 0.0
 
     def test_full_scale(self):
-        assert dsp.short_time_energy(np.tile([1.0, -1.0], 32)) == 1.0
+        assert dsp.extract_llf(np.tile([1.0, -1.0], 32), 16000)[1] == 1.0
 
     def test_half_scale(self):
-        assert dsp.short_time_energy(np.array([0.5, 0.5])) == 0.25
+        assert dsp.extract_llf(np.array([0.5, 0.5]), 16000)[1] == 0.25
 
 
 class TestMfcc:
+    """Rows 8..20 of the one-frame feature vector."""
+
     def test_silence_is_dct_of_constant(self):
-        coeffs = dsp.mfcc(np.zeros(400), 16000)
+        coeffs = dsp.extract_llf(np.zeros(400), 16000)[8:21]
         assert coeffs[0] == pytest.approx(np.sqrt(40) * np.log(1e-10), rel=1e-12)
         np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-12)
 
     def test_pure_sine_matches_reference(self):
         t = np.arange(400) / 16000
         frame = 0.7 * np.sin(2 * np.pi * 1000 * t)
-        np.testing.assert_allclose(dsp.mfcc(frame, 16000), ref_mfcc(frame, 16000), atol=1e-6)
+        np.testing.assert_allclose(dsp.extract_llf(frame, 16000)[8:21], ref_mfcc(frame, 16000),
+                                   atol=1e-6)
 
     def test_amplitude_doubling_shifts_only_coefficient_zero(self):
         frame = random_frame(np.random.default_rng(1))
-        base = dsp.mfcc(frame, 16000)
-        doubled = dsp.mfcc(2 * frame, 16000)
+        base = dsp.extract_llf(frame, 16000)[8:21]
+        doubled = dsp.extract_llf(2 * frame, 16000)[8:21]
         assert doubled[0] - base[0] == pytest.approx(np.sqrt(1 / 40) * 40 * np.log(4), rel=1e-9)
         np.testing.assert_allclose(doubled[1:], base[1:], atol=1e-8)
 
     def test_too_short_frame(self):
         with pytest.raises(InputError):
-            dsp.mfcc(np.array([0.1]), 16000)
+            dsp.extract_llf(np.array([0.1]), 16000)
 
 
 class TestExtractLlf:

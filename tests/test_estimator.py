@@ -103,6 +103,27 @@ class TestFitPredict:
         clf.fit(records, y=shifted)
         assert clf.score(records, y=shifted) >= 0.0  # labels accepted end to end
 
+    @pytest.mark.parametrize("bad", [1.9, 2.7, 0.2, 2.0, True, np.bool_(False), "x", "1", None,
+                                     -1, 4])
+    def test_labels_must_be_integers_in_range(self, fitted_clf, tiny, bad):
+        records, _ = tiny
+        y = [r.label for r in records]
+        y[1] = bad
+        with pytest.raises(InputError, match="label"):
+            fitted_clf.score(records, y=y)
+
+    def test_fit_rejects_truncatable_labels(self, tiny):
+        # int() would read these as [1, 2, 1, 0] and train on the wrong classes
+        records, table = tiny
+        clf = EmotionRecognizer(embeddings=table, epochs=1, seed=0)
+        with pytest.raises(InputError, match="1.9"):
+            clf.fit(records[:4], y=[1.9, 2.7, True, 0.2])
+
+    def test_numpy_integer_labels_accepted(self, fitted_clf, tiny):
+        records, _ = tiny
+        y = np.array([r.label for r in records], dtype=np.int32)
+        assert fitted_clf.score(records, y=y) == fitted_clf.score(records)
+
     def test_predict_before_fit_rejected(self, tiny):
         records, table = tiny
         with pytest.raises(InputError, match="not fitted"):

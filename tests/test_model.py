@@ -8,7 +8,7 @@ import pytest
 
 import emofuse.tensor as T
 from emofuse import model as M
-from emofuse.data import EmbeddingTable, PreparedSample
+from emofuse.data import PreparedSample
 from emofuse.errors import InputError
 
 
@@ -97,30 +97,6 @@ class TestAcousticEncode:
             np.testing.assert_allclose(packed, single, rtol=0, atol=1e-10)
 
 
-class TestSemanticEncode:
-    def test_all_oov_zero_bias(self):
-        params = M.ModelParams.zeros()
-        out = M.semantic_encode(["nope", "nada"], EmbeddingTable({}), params)
-        np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_zero_weight_gives_bias_columns(self, rng):
-        arrays = {name: np.zeros(shape) for name, shape in M.PARAM_SHAPES.items()}
-        arrays["sem_b"] = rng.standard_normal(128)
-        params = M.ModelParams.from_arrays(arrays)
-        table = EmbeddingTable({"a": rng.standard_normal(300)})
-        out = M.semantic_encode(["a", "b"], table, params)
-        np.testing.assert_allclose(out.data, np.tile(arrays["sem_b"][:, None], (1, 2)),
-                                   rtol=1e-6)
-
-    def test_shape(self, params, rng):
-        table = EmbeddingTable({"a": rng.standard_normal(300)})
-        assert M.semantic_encode(["a", "a", "a"], table, params).shape == (128, 3)
-
-    def test_empty_tokens_rejected(self, params):
-        with pytest.raises(InputError):
-            M.semantic_encode([], EmbeddingTable({}), params)
-
-
 class TestCrossModalityExcite:
     def test_zero_gate_weight_halves_exactly(self, rng):
         params = M.ModelParams.zeros()
@@ -169,12 +145,6 @@ class TestForward:
         a = M.forward(sample, params, "tempalign-cme").data
         b = M.forward(sample, params, "tempalign-cme").data
         np.testing.assert_array_equal(a, b)
-
-    def test_padding_does_not_change_output(self, params, rng):
-        sample = make_sample(rng, n_words=3)
-        base = M.forward(sample, params, "tempalign-cme").data
-        padded = M.forward(sample, params, "tempalign-cme", pad_to=7).data
-        np.testing.assert_array_equal(base, padded)
 
     def test_batched_matches_single(self, params, rng):
         with T.precision(64):

@@ -196,11 +196,12 @@ class TestSoftmaxColumns:
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        p = T.Tensor([[1.0], [0.0], [0.0], [0.0]])
+        p = T.softmax_columns(T.Tensor([[0.0], [-1e4], [-1e4], [-1e4]]))
+        np.testing.assert_array_equal(p.data, [[1.0], [0.0], [0.0], [0.0]])
         assert T.cross_entropy(p, np.eye(4)[0]).item() == 0.0
 
     def test_uniform_is_log4(self, f64):
-        p = T.Tensor(np.full((4, 1), 0.25))
+        p = T.softmax_columns(T.Tensor(np.zeros((4, 1))))
         assert T.cross_entropy(p, np.eye(4)[2]).item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_fused_gradient_is_p_minus_y(self, f64):
@@ -221,8 +222,11 @@ class TestCrossEntropy:
         assert err <= 1e-5
 
     def test_rejects_non_probabilities(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="softmax_columns"):
             T.cross_entropy(T.Tensor([[0.9], [0.9], [0.1], [0.1]]), np.eye(4)[0])
+        # only a softmax output carries the logits its gradient goes to
+        with pytest.raises(ValueError, match="softmax_columns"):
+            T.cross_entropy(T.Tensor(np.full((4, 1), 0.25)), np.eye(4)[0])
 
 
 class TestLinear:
@@ -311,9 +315,31 @@ class TestGradCheckHarness:
     def test_every_differentiable_op_has_a_case(self):
         from emofuse.gradcheck import _op_cases
         not_ops = {"Tensor", "zeros", "precision", "backward"}
-        cases = _op_cases(np.random.default_rng(0))
+        cases = _op_cases(0)
         checked = {name.split("/")[0].split(" ")[0] for name, _, _ in cases}
         assert checked == set(T.__all__) - not_ops
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_dropping_a_case_leaves_every_other_case_unchanged(self, f64, monkeypatch, seed):
+        from emofuse import gradcheck
+
+        def fingerprints(cases):
+            # the input, and f's value and gradient there, which read every
+            # fixed operand; all compared bit for bit
+            out = {}
+            for name, f, x in cases:
+                probe = T.Tensor(x.data, requires_grad=True)
+                value = f(probe)
+                T.backward(value)
+                out[name] = (x.data.tobytes(), value.data.tobytes(), probe.grad.tobytes())
+            return out
+
+        full = fingerprints(gradcheck._op_cases(seed))
+        for dropped in list(gradcheck._CASES):
+            with monkeypatch.context() as patch:
+                patch.delitem(gradcheck._CASES, dropped)
+                rest = fingerprints(gradcheck._op_cases(seed))
+            assert rest == {name: fp for name, fp in full.items() if name != dropped}, dropped
 
 
 class TestPrecisionConfig:
