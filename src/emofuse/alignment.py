@@ -44,7 +44,8 @@ class AlignmentMatrix:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise InputError(f"alignment matrix must be 2-d, got shape {self.matrix.shape}")
-        if not np.all(np.isin(self.matrix, (0.0, 1.0))):
+        # every nonzero entry (NaN included) must be a 1
+        if np.count_nonzero(self.matrix) != np.count_nonzero(self.matrix == 1.0):
             raise InputError("alignment matrix entries must be 0 or 1")
 
     @property
@@ -86,56 +87,49 @@ def build_alignment(spans: Sequence[WordSpan], n: int, step_ms: int,
     check_spans(spans)
     matrix = np.zeros((n, len(spans)), dtype=np.float64)
     centers = np.arange(n) * step_ms + width_ms / 2.0
-    for j, span in enumerate(spans):
-        inside = (centers >= span.start_ms) & (centers < span.end_ms)
-        matrix[inside, j] = 1.0
+    # spans are sorted and disjoint: only the last one starting by a center can hold it
+    word = np.searchsorted([s.start_ms for s in spans], centers, side="right") - 1
+    inside = (word >= 0) & (centers < np.array([s.end_ms for s in spans])[word])
+    matrix[inside, word[inside]] = 1.0
     return AlignmentMatrix(matrix)
+
+
+def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
+               starts: Sequence[int], mode: str = "sum") -> T.Tensor:
+    """Word columns [q × Σ m_b] of B utterances whose frames are packed in
+    z [q × N]: utterance b's n_b frames start at column starts[b], and
+    alignments[b] [n_b × m_b] maps them to its words. Mode "sum" uses each
+    binary matrix as-is; "mean" first divides each nonzero column by its
+    number of ones. Each word sums its frames in time order, bit-identical
+    to a per-word loop and to pooling its utterance alone."""
+    if mode not in ("sum", "mean"):
+        raise InputError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
+    cols, words, weights, n_words = [], [], [], 0
+    for a, start in zip(alignments, starts, strict=True):
+        mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a, dtype=np.float64)
+        if z.data.ndim != 2 or mat.ndim != 2 or start + mat.shape[0] > z.shape[1]:
+            raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment "
+                                 f"{mat.shape} from column {start}")
+        if mode == "mean":
+            counts = mat.sum(axis=0)
+            mat = mat / np.where(counts > 0, counts, 1.0)
+        word, frame = np.nonzero(mat.T)  # word-major, frames ascending per word
+        cols.append(start + frame)
+        words.append(n_words + word)
+        weights.append(mat[frame, word])
+        n_words += mat.shape[1]
+    return T.pool_cols(z, np.concatenate(cols), np.concatenate(words),
+                       np.concatenate(weights), n_words)
 
 
 def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray,
                         mode: str = "sum") -> T.Tensor:
-    """Pool frame columns of z [q × n] into word columns [q × m] via z @ A.
-
-    mode "sum" multiplies by the binary matrix as-is; mode "mean" divides
-    each nonzero column of A by its number of ones first. Each word column
-    accumulates its frames sequentially in time order, so the result is
-    bit-identical to an explicit per-word summation loop. The words run
-    side by side: the k-th frame of every word is gathered at once (a zero
-    frame stands in for words with fewer frames), and the loop is over k.
-    """
-    mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a, dtype=np.float64)
-    if z.data.ndim != 2 or z.shape[1] != mat.shape[0]:
-        raise DimensionError(
-            f"pooling shapes disagree: z {z.shape} vs alignment {mat.shape}")
-    if mode == "mean":
-        counts = mat.sum(axis=0)
-        mat = mat / np.where(counts > 0, counts, 1.0)
-    elif mode != "sum":
-        raise InputError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
-
-    weights = mat.astype(z.data.dtype)
-    n, m = weights.shape
-    words, frames = np.nonzero(weights.T)  # word-major, frames ascending per word
-    counts = np.bincount(words, minlength=m)
-    offset = np.arange(words.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    depth = int(counts.max(initial=0))
-    index = np.full((depth, m), n)         # row n of frames_by_row stays zero
-    index[offset, words] = frames
-    scale = np.zeros((depth, m, 1), dtype=weights.dtype)
-    scale[offset, words, 0] = weights[frames, words]
-    frames_by_row = np.zeros((n + 1, z.shape[0]), dtype=z.data.dtype)
-    frames_by_row[:n] = z.data.T
-    gathered = frames_by_row[index]        # [depth × m × q]: k-th frame of each word
-    gathered *= scale
-    out_t = np.zeros((m, z.shape[0]), dtype=z.data.dtype)
-    for k in range(depth):
-        out_t += gathered[k]
-    out_data = np.ascontiguousarray(out_t.T)
-
-    def grad_fn(g: np.ndarray) -> None:
-        z.grad += g @ weights.T
-
-    return T._result(out_data, (z,), grad_fn, "temporal_align_pool")
+    """Pool frame columns of z [q × n] into word columns [q × m] via z @ A:
+    the one-utterance case of ``pool_words``."""
+    n = (a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)).shape[0]
+    if z.data.ndim != 2 or z.shape[1] != n:
+        raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment with {n} frames")
+    return pool_words(z, [a], [0], mode)
 
 
 def validate_alignment(a: AlignmentMatrix) -> AlignmentDiagnostics:

@@ -67,8 +67,12 @@ def check_labels(records: Sequence[UtteranceRecord], y) -> list[int]:
     """
     if y is None:
         return [r.label for r in records]
+    try:
+        values = list(y)
+    except TypeError:
+        raise InputError(f"y must be a sequence of labels, got {type(y).__name__}") from None
     labels = []
-    for v in y:
+    for v in values:
         if not isinstance(v, Integral) or isinstance(v, bool) or not 0 <= v < len(EMOTIONS):
             raise InputError(f"label {v!r} is not an integer in 0..{len(EMOTIONS) - 1}")
         labels.append(int(v))

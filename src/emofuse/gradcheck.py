@@ -179,6 +179,11 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     "slice_cols": lambda rng: _on_matrix(
         rng, lambda x: T.sigmoid(T.slice_cols(x, 1, x.shape[1])), min_cols=2),
     "mean_cols": lambda rng: _on_matrix(rng, lambda x: T.sigmoid(T.mean_cols(x))),
+    "mean_cols spans": lambda rng: _on_matrix(  # a gap, an overlap, a single column
+        rng, lambda x: T.sigmoid(T.mean_cols(x, [(0, 2), (3, 7), (5, 8), (8, 9)])), min_cols=9),
+    "pool_cols": lambda rng: _on_matrix(  # columns pooled twice or not at all; group 2 empty
+        rng, lambda x: T.sigmoid(T.pool_cols(x, [0, 2, 2, 4, 1, 4], [0, 0, 1, 1, 3, 0],
+                                             [0.5, 1.2, 0.7, 1.0, 1.4, 0.3], 4)), min_cols=5),
     "sum_all": lambda rng: _on_matrix(rng, lambda x: x),
     "maxpool_steps": _maxpool_steps,
     "pad_stack_time_major": _pad_stack_time_major,

@@ -15,10 +15,11 @@ concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
 
 Batching packs the frames of a mini-batch side by side for one CNN pass,
 and the word columns of all utterances side by side, one sequence after
-another, for the gate, the concat, the BiLSTM and the max-pool. Nothing is
+another, for the gate, the concat, the BiLSTM and the max-pool; one node
+pools the packed CNN output of the whole batch into them. Nothing is
 padded: each LSTM step computes only the sequences still running, and the
-max-pool reads each sequence's own columns, so no utterance's result
-reads another utterance's columns.
+max-pool reads each sequence's own columns, so no utterance's result reads
+another utterance's columns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .alignment import temporal_align_pool
+# temporal_align_pool stays bound here, where perfbench's tracer looks it up
+from .alignment import pool_words, temporal_align_pool  # noqa: F401
 from .data import PreparedSample
 from .dsp import N_FEATURES, feature_order_hash
 from .errors import InputError
@@ -169,8 +171,10 @@ def init_params(seed: int = 0) -> ModelParams:
 # network stages
 
 
-def acoustic_encode_batch(xs: Sequence[T.Tensor], params: ModelParams) -> list[T.Tensor]:
-    """34×n_b low-level features per utterance -> one 128×n_b embedding each.
+def acoustic_encode_batch(xs: Sequence[T.Tensor],
+                          params: ModelParams) -> tuple[T.Tensor, np.ndarray]:
+    """34×n_b features per utterance -> the batch's packed 128×N embedding,
+    and the column where each utterance starts.
 
     Three stacked 1-d conv layers with relu; each output concatenates all
     three layer outputs (64 + 32 + 32 rows). The batch runs as one matrix:
@@ -201,10 +205,7 @@ def acoustic_encode_batch(xs: Sequence[T.Tensor], params: ModelParams) -> list[T
             h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
         h = T.relu(T.conv1d_same(h, w, b))
         layers.append(h)
-    out = T.concat_rows(*layers)
-    if keep is None:
-        return [out]
-    return [T.slice_cols(out, start, start + width) for start, width in zip(starts, widths)]
+    return T.concat_rows(*layers), starts
 
 
 def acoustic_encode(x: T.Tensor, params: ModelParams) -> T.Tensor:
@@ -238,21 +239,22 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     if not samples:
         raise InputError("forward_batch needs at least one sample")
 
-    acoustic = acoustic_encode_batch([T.Tensor(s.features) for s in samples], params)
-    semantic = [T.linear(T.Tensor(s.token_vectors), params.sem_w, params.sem_b)
-                for s in samples]
-
+    acoustic, starts = acoustic_encode_batch([T.Tensor(s.features) for s in samples], params)
     if mode is FusionMode.UTT_CONCAT:
         lengths = np.ones(len(samples), dtype=np.int64)
-        z_a = T.concat_cols(*[T.mean_cols(za) for za in acoustic])
-        z_s = T.concat_cols(*[T.mean_cols(zs) for zs in semantic])
+        z_a = T.mean_cols(acoustic, [(lo, lo + s.n_frames) for lo, s in zip(starts, samples)])
+        # the semantic linear commutes with the mean over an utterance's words
+        tokens = np.stack([s.token_vectors.mean(axis=1) for s in samples], axis=1)
+        z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        z_a = T.concat_cols(*[temporal_align_pool(za, s.alignment, pool_mode)
-                              for za, s in zip(acoustic, samples)])
-        z_s = T.concat_cols(*semantic)
-        if mode is FusionMode.TEMP_ALIGN_CME:
-            z_a = cross_modality_excite(z_s, z_a, params)
+        z_a = pool_words(acoustic, [s.alignment for s in samples], starts, pool_mode)
+        # one linear per utterance: one GEMM over all word columns rounds
+        # each column differently (~1e-7 in float32), moving every result
+        z_s = T.concat_cols(*[T.linear(T.Tensor(s.token_vectors), params.sem_w, params.sem_b)
+                              for s in samples])
+    if mode is FusionMode.TEMP_ALIGN_CME:
+        z_a = cross_modality_excite(z_s, z_a, params)
 
     states = _bilstm(T.concat_rows(z_a, z_s), lengths, params)
     pooled_state = T.maxpool_steps(states, lengths)

@@ -16,6 +16,8 @@ Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
     per-column bias of ``linear``/``add_bias``/``lstm``. Other
     mismatches raise ``DimensionError`` to catch wiring bugs early.
+  - Gradients are allocated lazily: a tensor's first contribution becomes
+    its gradient (copied when it is a view or a broadcast), later ones add.
   - Every op output and every leaf gradient is checked for NaN/inf, so a
     divergence surfaces as ``FloatingPointError`` at the op that made it,
     before saturating activations can hide it.
@@ -56,6 +58,7 @@ __all__ = [
     "slice_rows",
     "slice_cols",
     "mean_cols",
+    "pool_cols",
     "sum_all",
     "maxpool_steps",
     "pad_stack_time_major",
@@ -149,6 +152,25 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...],
     return out
 
 
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a gradient contribution to t. The first becomes t's gradient if it
+    is a fresh array of t's dtype, else a copy (of a view, a broadcast, a
+    scalar); an op passing its own gradient on hands over the view g[...]."""
+    if t.grad is not None:
+        t.grad += g
+    elif isinstance(g, np.ndarray) and g.flags.owndata and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype)
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t's gradient, zeros at first, for ops that add into part of it."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _need_2d(t: Tensor, op: str) -> None:
     if t.data.ndim != 2:
         raise DimensionError(f"{op} expects a 2-d tensor, got shape {t.shape}")
@@ -168,9 +190,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            _accumulate(b, a.data.T @ g)
 
     return _result(out_data, (a, b), grad_fn, "matmul")
 
@@ -187,11 +209,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if weight.requires_grad:
-            weight.grad += g @ x.data.T
+            _accumulate(weight, g @ x.data.T)
         if x.requires_grad:
-            x.grad += weight.data.T @ g
+            _accumulate(x, weight.data.T @ g)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=1)
+            _accumulate(bias, g.sum(axis=1))
 
     return _result(out_data, (x, weight, bias), grad_fn, "linear")
 
@@ -220,15 +242,15 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         if filters.requires_grad:
             # rebuilt here rather than kept from the forward pass: the
             # [cin·k × n] copy would otherwise live as long as the graph
-            filters.grad += (g @ _im2col(xp, k, n).T).reshape(cout, cin, k)
+            _accumulate(filters, (g @ _im2col(xp, k, n).T).reshape(cout, cin, k))
         if bias.requires_grad:
-            bias.grad += g.sum(axis=1)
+            _accumulate(bias, g.sum(axis=1))
         if x.requires_grad:
             # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
             # with g padded by the mirrored amounts
             w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
             gp = _pad_cols(g, k - 1 - pad_left, pad_left)
-            x.grad += w_flip @ _im2col(gp, k, n)
+            _accumulate(x, w_flip @ _im2col(gp, k, n))
 
     return _result(out_data, (x, filters, bias), grad_fn, "conv1d_same")
 
@@ -259,7 +281,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y = _sigmoid(x.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += g * y * (1.0 - y)
+        _accumulate(x, g * y * (1.0 - y))
 
     return _result(y, (x,), grad_fn, "sigmoid")
 
@@ -268,7 +290,7 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += g * (1.0 - y * y)
+        _accumulate(x, g * (1.0 - y * y))
 
     return _result(y, (x,), grad_fn, "tanh")
 
@@ -277,7 +299,7 @@ def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0.0)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += g * (x.data > 0)
+        _accumulate(x, g * (x.data > 0))
 
     return _result(y, (x,), grad_fn, "relu")
 
@@ -290,9 +312,9 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += g * b.data
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            b.grad += g * a.data
+            _accumulate(b, g * a.data)
 
     return _result(out_data, (a, b), grad_fn, "hadamard")
 
@@ -305,9 +327,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g[...])
         if b.requires_grad:
-            b.grad += g
+            _accumulate(b, g[...])
 
     return _result(out_data, (a, b), grad_fn, "add")
 
@@ -321,9 +343,9 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.grad += g
+            _accumulate(x, g[...])
         if bias.requires_grad:
-            bias.grad += g.sum(axis=1)
+            _accumulate(bias, g.sum(axis=1))
 
     return _result(out_data, (x, bias), grad_fn, "add_bias")
 
@@ -332,7 +354,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += g * c
+        _accumulate(x, g * c)
 
     return _result(x.data * c, (x,), grad_fn, "scale")
 
@@ -361,7 +383,7 @@ def _concat(tensors: tuple[Tensor, ...], axis: int, name: str) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t.grad += g[lo:hi] if axis == 0 else g[:, lo:hi]
+                _accumulate(t, g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return _result(out_data, tuple(tensors), grad_fn, name)
 
@@ -372,7 +394,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_rows [{start}:{stop}] out of range for shape {x.shape}")
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad[start:stop, :] += g
+        _grad_buffer(x)[start:stop, :] += g
 
     return _result(x.data[start:stop, :], (x,), grad_fn, "slice_rows")
 
@@ -383,19 +405,25 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_cols [{start}:{stop}] out of range for shape {x.shape}")
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad[:, start:stop] += g
+        _grad_buffer(x)[:, start:stop] += g
 
     return _result(x.data[:, start:stop], (x,), grad_fn, "slice_cols")
 
 
-def mean_cols(x: Tensor) -> Tensor:
-    """Mean over columns of x [d×m], returned as [d×1]."""
+def mean_cols(x: Tensor, spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Column b of the [d × len(spans)] result is the mean of the columns
+    spans[b][0] .. spans[b][1] − 1 of x [d×m]; one span covers all by default."""
     _need_2d(x, "mean_cols")
-    m = x.shape[1]
-    out_data = x.data.mean(axis=1, keepdims=True)
+    spans = [(0, x.shape[1])] if spans is None else [(int(lo), int(hi)) for lo, hi in spans]
+    if not spans or any(not 0 <= lo < hi <= x.shape[1] for lo, hi in spans):
+        raise ValueError(f"mean_cols: spans {spans} do not fit shape {x.shape}")
+    out_data = np.empty((x.shape[0], len(spans)), dtype=x.data.dtype)
+    for b, (lo, hi) in enumerate(spans):
+        out_data[:, b] = x.data[:, lo:hi].mean(axis=1)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += np.broadcast_to(g / m, x.shape)
+        for b, (lo, hi) in enumerate(spans):
+            _grad_buffer(x)[:, lo:hi] += g[:, b:b + 1] / (hi - lo)
 
     return _result(out_data, (x,), grad_fn, "mean_cols")
 
@@ -405,9 +433,53 @@ def sum_all(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += np.broadcast_to(g, x.shape)
+        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _result(out_data, (x,), grad_fn, "sum_all")
+
+
+def _gather_sum(src: np.ndarray, targets: np.ndarray, sources: np.ndarray,
+                weights: np.ndarray, n_out: int) -> np.ndarray:
+    """[d × n_out]: column t sums weights[e]·src[:, sources[e]] over the
+    entries e with targets[e] = t, in entry order. The k-th entry of every
+    target is gathered at once (a zero column pads targets with fewer); the
+    loop is over k."""
+    order = np.argsort(targets, kind="stable")
+    targets, sources, weights = targets[order], sources[order], weights[order]
+    counts = np.bincount(targets, minlength=n_out)
+    offset = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.full((int(counts.max(initial=0)), n_out), src.shape[1])
+    index[offset, targets] = sources
+    scale = np.zeros(index.shape, dtype=src.dtype)
+    scale[offset, targets] = weights
+    padded = np.concatenate([src, np.zeros((src.shape[0], 1), dtype=src.dtype)], axis=1)
+    gathered = np.take(padded, index, axis=1)  # [d × depth × n_out], C order
+    gathered *= scale
+    out = np.zeros((src.shape[0], n_out), dtype=src.dtype)
+    for k in range(index.shape[0]):
+        out += gathered[:, k]
+    return out
+
+
+def pool_cols(x: Tensor, cols: np.ndarray, groups: np.ndarray, weights: np.ndarray,
+              n_groups: int) -> Tensor:
+    """Weighted column sums of x [d×N] into [d × n_groups]: entry e adds
+    weights[e]·x[:, cols[e]] to column groups[e], and each column sums its
+    entries in the order given, bit-identical to a loop over them. The
+    backward pass pools the output gradient back from groups to cols."""
+    _need_2d(x, "pool_cols")
+    cols, groups = np.asarray(cols, dtype=np.int64), np.asarray(groups, dtype=np.int64)
+    weights = np.asarray(weights, dtype=x.data.dtype)
+    if not cols.shape == groups.shape == weights.shape == (cols.size,) or cols.size and (
+            min(cols.min(), groups.min()) < 0 or cols.max() >= x.shape[1]
+            or groups.max() >= n_groups):
+        raise ValueError(f"pool_cols: entries do not map {x.shape} into {n_groups} columns")
+    out_data = _gather_sum(x.data, groups, cols, weights, n_groups)
+
+    def grad_fn(g: np.ndarray) -> None:
+        _accumulate(x, _gather_sum(g, cols, groups, weights, x.shape[1]))
+
+    return _result(out_data, (x,), grad_fn, "pool_cols")
 
 
 def _packed(lengths: Sequence[int], n_cols: int, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +509,7 @@ def maxpool_steps(x: Tensor, lengths: Sequence[int]) -> Tensor:
     out_data = x.data[rows, cols]
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad[rows, cols] += g
+        _grad_buffer(x)[rows, cols] += g
 
     return _result(out_data, (x,), grad_fn, "maxpool_steps")
 
@@ -469,7 +541,7 @@ def pad_stack_time_major(tensors: Sequence[Tensor], t_max: int) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         for b, t in enumerate(tensors):
             if t.requires_grad:
-                t.grad += g[:, b::batch][:, :t.shape[1]]
+                _accumulate(t, g[:, b::batch][:, :t.shape[1]])
 
     return _result(out_data, tensors, grad_fn, "pad_stack_time_major")
 
@@ -482,7 +554,7 @@ def softmax_columns(x: Tensor) -> Tensor:
     y = e / e.sum(axis=0, keepdims=True)
 
     def grad_fn(g: np.ndarray) -> None:
-        x.grad += y * (g - (y * g).sum(axis=0, keepdims=True))
+        _accumulate(x, y * (g - (y * g).sum(axis=0, keepdims=True)))
 
     out = _result(y, (x,), grad_fn, "softmax_columns")
     out._softmax_src = x
@@ -508,7 +580,7 @@ def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
     out_data = np.asarray(-(y * np.log(clamped)).sum(), dtype=p.data.dtype)
 
     def grad_fn(g: np.ndarray) -> None:
-        src.grad += g * (p.data - y)
+        _accumulate(src, g * (p.data - y))
 
     return _result(out_data, (p,), grad_fn, "cross_entropy")
 
@@ -583,11 +655,11 @@ def lstm(x_proj: Tensor, w_h: Tensor, bias: Tensor, lengths: Sequence[int],
             d_state[:hidden, cols] = w_h.data.T @ d_step
             d_state[hidden:, cols] = d_c * gate_forget
         if x_proj.requires_grad:
-            x_proj.grad += d_pre
+            _accumulate(x_proj, d_pre)
         if w_h.requires_grad:
-            w_h.grad += d_pre @ h_prev.T
+            _accumulate(w_h, d_pre @ h_prev.T)
         if bias.requires_grad:
-            bias.grad += d_pre.sum(axis=1)
+            _accumulate(bias, d_pre.sum(axis=1))
 
     return _result(out_data, (x_proj, w_h, bias), grad_fn, "lstm")
 
@@ -616,7 +688,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Fill ``grad`` on every tensor with requires_grad reachable from loss.
+    """Fill ``grad`` on every tensor with requires_grad that the loss's
+    gradient reaches.
 
     Gradients accumulate across calls on *different* graphs; calling twice
     on the same loss raises, since that would double-count.
@@ -629,12 +702,11 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     order = _toposort(loss)
-    for node in order:
-        if node.requires_grad and node.grad is None:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
+    _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(order):
-        if node._grad_fn is not None:
+        # a node no contribution reached (a softmax that cross_entropy
+        # bypasses) has no gradient to pass on
+        if node._grad_fn is not None and node.grad is not None:
             node._grad_fn(node.grad)
     for node in order:
         # leaf gradients are where every chain ends; a NaN anywhere upstream

@@ -70,29 +70,37 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """Moment estimates, the step counter, and two scratch buffers as large
+    as the largest parameter, in which the update runs."""
 
     def __init__(self, params: M.ModelParams):
         self.step = 0
         self.moments = {name: (np.zeros_like(t.data), np.zeros_like(t.data))
                         for name, t in params.named()}
+        largest = max(params.tensors(), key=lambda t: t.size).data.reshape(-1)
+        self.scratch = (np.empty_like(largest), np.empty_like(largest))
 
 
 def adam_step(params: M.ModelParams, state: AdamState, config: TrainConfig) -> None:
-    """Standard Adam update with bias correction; missing grads count as zero."""
+    """Standard Adam update with bias correction (Kingma & Ba 2015, Alg. 1),
+    in place and in the operation order of lr·(m/c1)/(√(v/c2) + eps); missing
+    grads count as zero."""
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = float(config.adam_beta1), float(config.adam_beta2)
+    lr, eps = float(config.learning_rate), float(config.adam_eps)
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
     for name, tensor in params.named():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        grad = tensor.grad if tensor.grad is not None else 0.0
         m, v = state.moments[name]
+        step, denom = (buf[:tensor.size].reshape(tensor.shape) for buf in state.scratch)
         m *= b1
-        m += (1.0 - b1) * grad
+        m += np.multiply(grad, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        step = config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.adam_eps)
-        tensor.data -= step
+        v += np.multiply(np.multiply(grad, 1.0 - b2, out=step), grad, out=step)
+        np.multiply(np.divide(m, correction1, out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, correction2, out=denom), out=denom), eps, out=denom)
+        tensor.data -= np.divide(step, denom, out=step)
 
 
 def clip_gradients(params: M.ModelParams, max_norm: float) -> float:
@@ -259,6 +267,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(prepared))
             epoch_total = 0.0
+            norms = []
             for start in range(0, len(order), config.batch_size):
                 batch = [prepared[i] for i in order[start:start + config.batch_size]]
                 try:
@@ -274,11 +283,14 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}, batch starting {start}: {exc}"
                     ) from exc
-                clip_gradients(params, config.clip_norm)
+                norms.append(clip_gradients(params, config.clip_norm))
                 adam_step(params, state, config)
                 epoch_total += value if config.loss_reduction == "sum" else value * len(batch)
             curve.append(epoch_total / len(prepared))
-            logger.debug("epoch %d/%d mean loss %.6f", epoch + 1, config.epochs, curve[-1])
+            clipped = sum(0 < config.clip_norm < norm for norm in norms)
+            logger.debug("epoch %d/%d mean loss %.6f, max pre-clip gradient norm %.4g, "
+                         "clip rate %.2f", epoch + 1, config.epochs, curve[-1], max(norms),
+                         clipped / len(norms))
 
     checkpoint = M.Checkpoint(
         params=params,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import emofuse.tensor as T
-from emofuse.alignment import (AlignmentMatrix, WordSpan, build_alignment,
+from emofuse.alignment import (AlignmentMatrix, WordSpan, build_alignment, pool_words,
                                temporal_align_pool, validate_alignment)
 from emofuse.errors import DimensionError, InputError
 
@@ -19,6 +19,18 @@ def loop_pool(z: np.ndarray, a: np.ndarray) -> np.ndarray:
             if a[i, j] == 1.0:
                 out[:, j] += z[:, i]
     return out
+
+
+def block_alignment(rng, n_words: int) -> np.ndarray:
+    """Words of 0 (empty) to 4 frames, silence frames before, between and after."""
+    lengths = rng.integers(0, 5, size=n_words)
+    gaps = rng.integers(0, 3, size=n_words + 1)
+    a = np.zeros((max(int(lengths.sum() + gaps.sum()), 1), n_words))
+    pos = gaps[0]
+    for j in range(n_words):
+        a[pos:pos + lengths[j], j] = 1.0
+        pos += lengths[j] + gaps[j + 1]
+    return a
 
 
 class TestWordSpan:
@@ -52,6 +64,28 @@ class TestBuildAlignment:
         spans = [WordSpan("a", 0, 13), WordSpan("b", 13, 20), WordSpan("c", 20, 40)]
         a = build_alignment(spans, n=2, step_ms=10, width_ms=25)
         np.testing.assert_array_equal(a.matrix[:, 1], [0.0, 0.0])
+
+    def test_matches_per_word_mask_oracle(self):
+        # adjacent words, gaps, and frame centres exactly on span edges
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            spans, pos = [], 0
+            for j in range(int(rng.integers(1, 7))):
+                pos += int(rng.integers(0, 30))
+                length = int(rng.integers(1, 60))
+                spans.append(WordSpan(f"w{j}", pos, pos + length))
+                pos += length
+            n, step = int(rng.integers(1, 45)), int(rng.choice([5, 10]))
+            width = int(rng.choice([20, 25]))
+            centers = np.arange(n) * step + width / 2.0
+            want = np.stack([(centers >= s.start_ms) & (centers < s.end_ms) for s in spans], axis=1)
+            got = build_alignment(spans, n, step, width).matrix
+            np.testing.assert_array_equal(got, want.astype(np.float64))
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_matrix_entries_must_be_zero_or_one(self, bad):
+        with pytest.raises(InputError, match="0 or 1"):
+            AlignmentMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_overlapping_spans_rejected(self):
         with pytest.raises(InputError, match="overlap"):
@@ -139,6 +173,40 @@ class TestTemporalAlignPool:
             a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
             T.backward(T.sum_all(temporal_align_pool(z, a)))
             np.testing.assert_array_equal(z.grad, np.ones((2, 3)))
+
+
+class TestPoolWords:
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    def test_packed_matches_per_utterance_bit_for_bit(self, bits, mode):
+        # values and gradients; the gap columns between utterances get none
+        rng = np.random.default_rng(bits)
+        with T.precision(bits):
+            for _ in range(20):
+                aligns = [block_alignment(rng, int(rng.integers(1, 6)))
+                          for _ in range(int(rng.integers(1, 6)))]
+                starts = np.cumsum([0] + [a.shape[0] + 3 for a in aligns[:-1]])
+                z = rng.standard_normal((5, starts[-1] + aligns[-1].shape[0]))
+                weigh = rng.standard_normal((5, sum(a.shape[1] for a in aligns)))
+                packed_z = T.Tensor(z, requires_grad=True)
+                packed = pool_words(packed_z, aligns, starts, mode)
+                T.backward(T.sum_all(T.hadamard(packed, T.Tensor(weigh))))
+                want, want_grad = [], np.zeros_like(packed_z.data)
+                word = 0
+                for a, start in zip(aligns, starts):
+                    part = T.Tensor(z[:, start:start + a.shape[0]], requires_grad=True)
+                    single = temporal_align_pool(part, a, mode)
+                    T.backward(T.sum_all(T.hadamard(
+                        single, T.Tensor(weigh[:, word:word + a.shape[1]]))))
+                    want.append(single.data)
+                    want_grad[:, start:start + a.shape[0]] = part.grad
+                    word += a.shape[1]
+                np.testing.assert_array_equal(packed.data, np.concatenate(want, axis=1))
+                np.testing.assert_array_equal(packed_z.grad, want_grad)
+
+    def test_utterance_past_the_end_rejected(self):
+        with pytest.raises(DimensionError):
+            pool_words(T.Tensor(np.ones((2, 5))), [np.ones((3, 1)), np.ones((3, 1))], [0, 3])
 
 
 class TestValidateAlignment:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emofuse import data, dsp
+from emofuse.base import check_labels
 from emofuse.training import TrainConfig
 from emofuse.errors import InputError
 from emofuse.estimator import EmotionRecognizer, LowLevelFeatureExtractor
@@ -111,6 +112,14 @@ class TestFitPredict:
         y[1] = bad
         with pytest.raises(InputError, match="label"):
             fitted_clf.score(records, y=y)
+
+    @pytest.mark.parametrize("bad", [5, 2.0, object(), np.int64(1)])
+    def test_non_sequence_labels_rejected(self, fitted_clf, tiny, bad):
+        records, _ = tiny
+        with pytest.raises(InputError, match="sequence of labels"):
+            fitted_clf.score(records, y=bad)
+        with pytest.raises(InputError, match="sequence of labels"):
+            check_labels(records, bad)
 
     def test_fit_rejects_truncatable_labels(self, tiny):
         # int() would read these as [1, 2, 1, 0] and train on the wrong classes

@@ -1,6 +1,7 @@
 """Tests for the network stages, fusion modes and checkpoints."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -72,10 +73,10 @@ class TestAcousticEncode:
         # lengths below, near and far above the widest kernel (20) in one batch
         with T.precision(64):
             xs = [T.Tensor(rng.standard_normal((34, n))) for n in (1, 3, 19, 80)]
-            packed = M.acoustic_encode_batch(xs, params)
-            for x, out in zip(xs, packed):
-                assert out.shape == (128, x.shape[1])
-                np.testing.assert_allclose(out.data, M.acoustic_encode(x, params).data,
+            packed, starts = M.acoustic_encode_batch(xs, params)
+            for x, start in zip(xs, starts):
+                out = packed.data[:, start:start + x.shape[1]]
+                np.testing.assert_allclose(out, M.acoustic_encode(x, params).data,
                                            rtol=0, atol=1e-12)
 
     def test_packed_gradients_match_one_at_a_time(self, params, rng):
@@ -86,14 +87,24 @@ class TestAcousticEncode:
             def conv1_grad(encode):
                 trial = dataclasses.replace(params, conv1_w=T.Tensor(params.conv1_w.data,
                                                                      requires_grad=True))
-                outs = encode([T.Tensor(f) for f in feats], trial)
-                total = T.sum_all(T.concat_cols(*[T.hadamard(o, T.Tensor(w))
-                                                  for o, w in zip(outs, weights)]))
-                T.backward(total)
+                out, weigh = encode([T.Tensor(f) for f in feats], trial)
+                T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
                 return trial.conv1_w.grad
 
-            packed = conv1_grad(M.acoustic_encode_batch)
-            single = conv1_grad(lambda xs, p: [M.acoustic_encode(x, p) for x in xs])
+            def packed_encode(xs, p):
+                # gap columns get weight 0
+                out, starts = M.acoustic_encode_batch(xs, p)
+                weigh = np.zeros(out.shape)
+                for w, start in zip(weights, starts):
+                    weigh[:, start:start + w.shape[1]] = w
+                return out, weigh
+
+            def single_encode(xs, p):
+                return (T.concat_cols(*[M.acoustic_encode(x, p) for x in xs]),
+                        np.concatenate(weights, axis=1))
+
+            packed = conv1_grad(packed_encode)
+            single = conv1_grad(single_encode)
             np.testing.assert_allclose(packed, single, rtol=0, atol=1e-10)
 
 
@@ -150,10 +161,21 @@ class TestForward:
         with T.precision(64):
             samples = [make_sample(rng, n_frames=30 + 7 * i, n_words=2 + i, rid=f"s{i}")
                        for i in range(3)]
-            batched = M.forward_batch(samples, params, "tempalign-cme").data
-            for i, sample in enumerate(samples):
-                single = M.forward(sample, params, "tempalign-cme").data[:, 0]
-                np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
+            # a one-word utterance, a word of one frame, and an empty word
+            samples.append(make_sample(rng, n_frames=1, n_words=1, rid="one"))
+            ragged = make_sample(rng, n_frames=12, n_words=3, rid="ragged")
+            ragged.alignment[:] = 0.0
+            ragged.alignment[2, 0] = 1.0
+            ragged.alignment[5:11, 2] = 1.0
+            samples.append(ragged)
+            for mode, pool_mode in itertools.product(M.FusionMode, ("sum", "mean")):
+                single = {s.id: M.forward(s, params, mode, pool_mode=pool_mode).data[:, 0]
+                          for s in samples}
+                for batch in ([samples[0]], [samples[3]], samples, samples[::-1]):
+                    batched = M.forward_batch(batch, params, mode, pool_mode=pool_mode).data
+                    for i, sample in enumerate(batch):
+                        np.testing.assert_allclose(batched[:, i], single[sample.id], atol=1e-12,
+                                                   err_msg=f"{mode.value} {pool_mode}")
 
     def test_gate_law_zero_weight_equals_halved_tempalign(self, rng):
         # with a zero gate weight the gate is exactly 1/2, and halving the

@@ -280,6 +280,44 @@ class TestBackward:
         T.backward(T.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
+    @pytest.mark.parametrize("view_first", [True, False])
+    @pytest.mark.parametrize("share", ["concat_rows", "add", "mean_cols", "sum_all"])
+    def test_view_gradient_then_second_contribution(self, f64, share, view_first):
+        # x's contribution through `share` is a view of, or a broadcast from,
+        # another node's gradient; a second one must not write through it
+        rng = np.random.default_rng(4)
+        x, y = (T.Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(2))
+        weigh = rng.standard_normal((4, 3))
+        shared = {"concat_rows": lambda: T.concat_rows(x, y),
+                  "add": lambda: T.add(x, y),
+                  "mean_cols": lambda: T.mean_cols(x),
+                  "sum_all": lambda: T.sum_all(x)}[share]()
+        if shared.data.ndim == 2:
+            weigh = weigh[:shared.shape[0], :shared.shape[1]]
+            through = T.sum_all(T.hadamard(shared, T.Tensor(weigh)))
+        else:
+            through = shared
+        direct = T.sum_all(T.scale(x, 3.0))
+        T.backward(T.add(through, direct) if view_first else T.add(direct, through))
+        want_x = {"concat_rows": weigh[:2], "add": weigh[:2],
+                  "mean_cols": np.repeat(weigh[:, :1] / 3.0, 3, axis=1),
+                  "sum_all": np.ones((2, 3))}[share] + 3.0
+        np.testing.assert_allclose(x.grad, want_x, rtol=0, atol=1e-15)
+        if share in ("concat_rows", "add"):
+            np.testing.assert_array_equal(y.grad, weigh[2:] if share == "concat_rows" else weigh)
+            np.testing.assert_array_equal(shared.grad, weigh)
+        else:
+            assert y.grad is None
+
+    def test_view_gradients_sum_across_graphs(self, f64):
+        x, y = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(2))
+        first = T.concat_rows(x, y)
+        T.backward(T.sum_all(T.scale(first, 2.0)))
+        T.backward(T.sum_all(T.concat_rows(y, x)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(y.grad, np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(first.grad, np.full((4, 2), 2.0))
+
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(13)
         data = rng.standard_normal((6, 7))

@@ -96,6 +96,29 @@ class TestAdamStep:
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
+    def test_matches_the_allocating_formula_bit_for_bit(self):
+        # Kingma & Ba 2015, Alg. 1, written with a fresh array per operation;
+        # cme_w never gets a gradient, which counts as zero
+        params, state, config = self._setup()
+        reference = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)]
+                     for name, t in params.named()}
+        b1, b2, lr, eps = (config.adam_beta1, config.adam_beta2, config.learning_rate,
+                           config.adam_eps)
+        rng = np.random.default_rng(9)
+        for step in range(1, 4):
+            for name, tensor in params.named():
+                tensor.grad = (None if name == "cme_w" else
+                               rng.standard_normal(tensor.shape).astype(tensor.data.dtype))
+            training.adam_step(params, state, config)
+            for name, tensor in params.named():
+                data, m, v = reference[name]
+                grad = tensor.grad if tensor.grad is not None else np.zeros_like(data)
+                m[...] = b1 * m + (1.0 - b1) * grad
+                v[...] = b2 * v + (1.0 - b2) * grad * grad
+                data -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        for name, tensor in params.named():
+            assert tensor.data.tobytes() == reference[name][0].tobytes(), name
+
 
 class TestClipGradients:
     def test_large_gradients_scaled_to_max_norm(self):
@@ -214,6 +237,15 @@ class TestTrainFold:
         checkpoint, _ = training.train_fold(records, config, table)
         assert checkpoint.feature_mean.shape == (34,)
         assert np.all(checkpoint.feature_std >= 1e-8)
+
+    def test_epoch_log_reports_gradient_norm_and_clip_rate(self, sanity_set, caplog):
+        records, table = sanity_set
+        config = training.TrainConfig(epochs=2, batch_size=4, clip_norm=1e-3)
+        with caplog.at_level("DEBUG", logger="emofuse.training"):
+            training.train_fold(records, config, table)
+        lines = [r.getMessage() for r in caplog.records if "pre-clip" in r.getMessage()]
+        assert len(lines) == 2
+        assert all("clip rate 1.00" in line for line in lines)
 
     def test_empty_training_set_rejected(self, sanity_set):
         _, table = sanity_set
