@@ -8,10 +8,9 @@ with sklearn tooling without this package depending on it.
 from __future__ import annotations
 
 import inspect
-from numbers import Integral
 from typing import Sequence
 
-from .data import EMOTIONS, EmbeddingTable, UtteranceRecord, load_embeddings
+from .data import EmbeddingTable, UtteranceRecord, check_label, load_embeddings
 from .errors import InputError
 
 
@@ -60,22 +59,15 @@ def check_records(records) -> list[UtteranceRecord]:
 
 
 def check_labels(records: Sequence[UtteranceRecord], y) -> list[int]:
-    """Labels from y if given (overriding the records), else from the records.
-
-    A label must be an integer (numpy integers included) in 0..3; int()
-    would truncate 1.9 to 1 and read True as 1.
-    """
+    """Labels from y if given (overriding the records), else from the records;
+    each follows ``check_label``."""
     if y is None:
         return [r.label for r in records]
     try:
         values = list(y)
     except TypeError:
         raise InputError(f"y must be a sequence of labels, got {type(y).__name__}") from None
-    labels = []
-    for v in values:
-        if not isinstance(v, Integral) or isinstance(v, bool) or not 0 <= v < len(EMOTIONS):
-            raise InputError(f"label {v!r} is not an integer in 0..{len(EMOTIONS) - 1}")
-        labels.append(int(v))
+    labels = [check_label(v) for v in values]
     if len(labels) != len(records):
         raise InputError(f"y has {len(labels)} labels for {len(records)} records")
     return labels

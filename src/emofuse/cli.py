@@ -154,11 +154,12 @@ def cmd_gradcheck(args) -> int:
         if status == "FAIL":
             failed = True
         print(f"{name:<24} max_rel_err={err:.3e}  {status}")
-    model_err = max(gradcheck.check_model(seed=s) for s in range(args.seeds))
-    status = "ok" if model_err <= gradcheck.MODEL_TOLERANCE else "FAIL"
-    if status == "FAIL":
-        failed = True
-    print(f"{'model/loss':<24} max_rel_err={model_err:.3e}  {status}")
+    for mode in model.FusionMode:
+        model_err = max(gradcheck.check_model(seed=s, mode=mode) for s in range(args.seeds))
+        status = "ok" if model_err <= gradcheck.MODEL_TOLERANCE else "FAIL"
+        if status == "FAIL":
+            failed = True
+        print(f"{'model/loss ' + mode.value:<24} max_rel_err={model_err:.3e}  {status}")
     return 1 if failed else 0
 
 
@@ -209,7 +210,8 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every op and the model",
+    p = sub.add_parser("gradcheck",
+                       help="finite-difference check of every op and of the model in each mode",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(func=cmd_gradcheck)

@@ -15,6 +15,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -51,9 +52,16 @@ class UtteranceRecord:
             raise InputError(f"record {self.id!r} has a source path that is not a string")
         if not self.words:
             raise InputError(f"record {self.id!r} has no words")
-        if not 0 <= self.label < len(EMOTIONS):
-            raise InputError(
-                f"record {self.id!r} has label {self.label}, expected 0..{len(EMOTIONS) - 1}")
+        self.label = check_label(self.label, f"record {self.id!r}: label")
+
+
+def check_label(value, what: str = "label") -> int:
+    """An integer label (numpy integers included) in 0..3 as an int; int()
+    would truncate 1.9 to 1 and read True as 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or not 0 <= value < len(EMOTIONS):
+        raise InputError(f"{what} {value!r} is not an integer in 0..{len(EMOTIONS) - 1}")
+    return int(value)
 
 
 def _record_to_json(record: UtteranceRecord) -> str:
@@ -222,6 +230,8 @@ class FoldPlan:
 
 def kfold_split(records: Sequence[UtteranceRecord], k: int = 5, seed: int = 0) -> FoldPlan:
     """Seeded shuffle then round-robin assignment of records to test folds."""
+    if k < 2:
+        raise InputError(f"k-fold splitting needs k >= 2 folds, got k={k}")
     if len(records) < k:
         raise InputError(f"need at least k={k} records, got {len(records)}")
     ids = [r.id for r in records]

@@ -128,19 +128,16 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None
         wav.writeframes(pcm.tobytes())
 
 
-def frame_signal(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
-                 step_ms: int = FRAME_STEP_MS) -> np.ndarray:
-    """Cut the clip into frames; returns a read-only [n × win] view of the
-    samples with trailing samples dropped.
+def frame_signal(clip: AudioClip) -> np.ndarray:
+    """Cut the clip into 25 ms frames advanced by 10 ms; returns a read-only
+    [n × win] view of the samples with trailing samples dropped.
 
     n = (num_samples - win) // hop + 1 with win/hop in samples.
     """
-    if step_ms <= 0 or width_ms < step_ms:
-        raise InputError(f"need width_ms >= step_ms > 0, got {width_ms}/{step_ms}")
-    win = clip.sample_rate * width_ms // 1000
-    hop = clip.sample_rate * step_ms // 1000
+    win = clip.sample_rate * FRAME_WIDTH_MS // 1000
+    hop = clip.sample_rate * FRAME_STEP_MS // 1000
     if hop < 1:
-        raise InputError(f"a {step_ms} ms step is under one sample at {clip.sample_rate} Hz")
+        raise InputError(f"a {FRAME_STEP_MS} ms step is under one sample at {clip.sample_rate} Hz")
     if clip.samples.size < win:
         raise InputError(
             f"clip of {clip.samples.size} samples is shorter than one {win}-sample frame")
@@ -284,8 +281,6 @@ def extract_llf(frame: np.ndarray, sample_rate: int,
     return _frame_features(frame, sample_rate, prev_frame)[:, 0]
 
 
-def utterance_features(clip: AudioClip, width_ms: int = FRAME_WIDTH_MS,
-                       step_ms: int = FRAME_STEP_MS) -> FrameFeatureMatrix:
+def utterance_features(clip: AudioClip) -> FrameFeatureMatrix:
     """Feature matrix [34 × n] for a whole clip; column i describes frame i."""
-    frames = frame_signal(clip, width_ms, step_ms)
-    return FrameFeatureMatrix(_frame_features(frames, clip.sample_rate))
+    return FrameFeatureMatrix(_frame_features(frame_signal(clip), clip.sample_rate))

@@ -119,12 +119,9 @@ class EmotionRecognizer(ParamsMixin):
 class LowLevelFeatureExtractor(ParamsMixin):
     """Transformer from audio to [34 × n] frame-feature matrices.
 
-    Accepts AudioClips or WAV paths; stateless, so fit is a no-op.
+    Accepts AudioClips or WAV paths; stateless, so fit is a no-op. Frames
+    are 25 ms advanced by 10 ms, the geometry the word alignment assumes.
     """
-
-    def __init__(self, width_ms=25, step_ms=10):
-        self.width_ms = width_ms
-        self.step_ms = step_ms
 
     def fit(self, X, y=None):
         return self
@@ -135,7 +132,7 @@ class LowLevelFeatureExtractor(ParamsMixin):
         out = []
         for item in X:
             clip = item if isinstance(item, AudioClip) else read_wav(item)
-            out.append(utterance_features(clip, self.width_ms, self.step_ms).features)
+            out.append(utterance_features(clip).features)
         return out
 
     def fit_transform(self, X, y=None) -> list[np.ndarray]:

@@ -13,13 +13,13 @@ Three fusion modes are supported:
 Shape ledger: 34×n → CNN → 128×n → alignment → 128×m → gate → 128×m →
 concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
 
-Batching packs the frames of a mini-batch side by side for one CNN pass,
-and the word columns of all utterances side by side, one sequence after
-another, for the gate, the concat, the BiLSTM and the max-pool; one node
-pools the packed CNN output of the whole batch into them. Nothing is
-padded: each LSTM step computes only the sequences still running, and the
-max-pool reads each sequence's own columns, so no utterance's result reads
-another utterance's columns.
+Batching packs each modality's inputs once, so the graph has the same
+nodes at every batch size: the frames side by side for one CNN pass, whose
+output one node pools into word columns, and the token vectors (their
+means, in uttconcat) for one semantic linear. The word columns sit one
+sequence after another for the gate, the concat, the BiLSTM and the
+max-pool. Nothing is padded: each LSTM step computes only the sequences
+still running, and the max-pool reads each sequence's own columns.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import tensor as T
 # temporal_align_pool stays bound here, where perfbench's tracer looks it up
 from .alignment import pool_words, temporal_align_pool  # noqa: F401
-from .data import PreparedSample
+from .data import PreparedSample, check_label
 from .dsp import N_FEATURES, feature_order_hash
 from .errors import InputError
 
@@ -171,46 +171,41 @@ def init_params(seed: int = 0) -> ModelParams:
 # network stages
 
 
-def acoustic_encode_batch(xs: Sequence[T.Tensor],
+def acoustic_encode_batch(features: Sequence[np.ndarray],
                           params: ModelParams) -> tuple[T.Tensor, np.ndarray]:
-    """34×n_b features per utterance -> the batch's packed 128×N embedding,
-    and the column where each utterance starts.
+    """34×n_b feature arrays, one per utterance -> the batch's packed 128×N
+    embedding, and the column where each utterance starts.
 
     Three stacked 1-d conv layers with relu; each output concatenates all
-    three layer outputs (64 + 32 + 32 rows). The batch runs as one matrix:
-    utterances sit side by side with max(CNN_KERNELS)//2 zero columns
-    between neighbours, which no kernel can reach across, so each layer is
-    a single conv. A constant 0/1 column mask re-zeroes the gaps after each
-    layer that feeds another; the outer ends need no gap, as the conv pads
-    them with zeros itself.
+    three layer outputs (64 + 32 + 32 rows). The batch runs as one matrix,
+    packed in the tensor dtype: max(CNN_KERNELS)//2 zero columns, which no
+    kernel can reach across, sit between neighbours, so each layer is one
+    conv. If there are gaps, a constant 0/1 column mask re-zeroes them
+    after each layer that feeds another; the outer ends need no gap, as
+    the conv pads them with zeros itself.
     """
     gap = max(CNN_KERNELS) // 2
-    widths = [x.shape[1] for x in xs]
+    widths = [x.shape[1] for x in features]
     starts = np.cumsum([0] + [w + gap for w in widths[:-1]])
-    if len(xs) == 1:
-        h, keep = xs[0], None
-    else:
-        gap_cols = T.zeros((xs[0].shape[0], gap))
-        parts = [xs[0]]
-        for x in xs[1:]:
-            parts += [gap_cols, x]
-        h = T.concat_cols(*parts)
-        keep = np.zeros(h.shape[1], dtype=h.data.dtype)
-        for start, width in zip(starts, widths):
-            keep[start:start + width] = 1.0
+    packed = np.zeros((features[0].shape[0], starts[-1] + widths[-1]), dtype=T.default_dtype())
+    keep = np.zeros(packed.shape[1], dtype=packed.dtype)
+    for x, start, width in zip(features, starts, widths):
+        packed[:, start:start + width] = x
+        keep[start:start + width] = 1.0
+    h = T.Tensor(packed)
     layers = []
     for w, b in ((params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
                  (params.conv3_w, params.conv3_b)):
-        if keep is not None and layers:
+        if layers and len(features) > 1:
             h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
         h = T.relu(T.conv1d_same(h, w, b))
         layers.append(h)
     return T.concat_rows(*layers), starts
 
 
-def acoustic_encode(x: T.Tensor, params: ModelParams) -> T.Tensor:
+def acoustic_encode(features: np.ndarray, params: ModelParams) -> T.Tensor:
     """34×n low-level features -> 128×n embedding: the one-utterance batch."""
-    return acoustic_encode_batch([x], params)[0]
+    return acoustic_encode_batch([features], params)[0]
 
 
 def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
@@ -239,20 +234,18 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     if not samples:
         raise InputError("forward_batch needs at least one sample")
 
-    acoustic, starts = acoustic_encode_batch([T.Tensor(s.features) for s in samples], params)
+    acoustic, starts = acoustic_encode_batch([s.features for s in samples], params)
     if mode is FusionMode.UTT_CONCAT:
         lengths = np.ones(len(samples), dtype=np.int64)
         z_a = T.mean_cols(acoustic, [(lo, lo + s.n_frames) for lo, s in zip(starts, samples)])
         # the semantic linear commutes with the mean over an utterance's words
         tokens = np.stack([s.token_vectors.mean(axis=1) for s in samples], axis=1)
-        z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
         z_a = pool_words(acoustic, [s.alignment for s in samples], starts, pool_mode)
-        # one linear per utterance: one GEMM over all word columns rounds
-        # each column differently (~1e-7 in float32), moving every result
-        z_s = T.concat_cols(*[T.linear(T.Tensor(s.token_vectors), params.sem_w, params.sem_b)
-                              for s in samples])
+        tokens = np.concatenate([s.token_vectors for s in samples], axis=1,
+                                dtype=T.default_dtype())
+    z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)
     if mode is FusionMode.TEMP_ALIGN_CME:
         z_a = cross_modality_excite(z_s, z_a, params)
 
@@ -276,8 +269,7 @@ def loss(samples: Sequence[PreparedSample], params: ModelParams,
     if not samples:
         raise InputError("loss needs a nonempty batch")
     for s in samples:
-        if not 0 <= s.label < N_CLASSES:
-            raise InputError(f"sample {s.id!r} has label {s.label}, expected 0..{N_CLASSES - 1}")
+        check_label(s.label, f"sample {s.id!r}: label")
     if reduction not in ("sum", "mean"):
         raise InputError(f"loss reduction must be 'sum' or 'mean', got {reduction!r}")
     probs = forward_batch(samples, params, mode, pool_mode=pool_mode)

@@ -85,6 +85,11 @@ def precision(bits: int):
         _dtype.reset(token)
 
 
+def default_dtype() -> type:
+    """The dtype new tensors take in the current context."""
+    return _dtype.get()
+
+
 def _check_finite(arr: np.ndarray, where: str) -> None:
     # cheap reduction first; a finite sum implies all entries are finite
     with np.errstate(over="ignore", invalid="ignore"):

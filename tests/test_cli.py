@@ -227,6 +227,16 @@ class TestCv:
         assert code == 1
 
 
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_fewer_than_two_folds_is_exit_1(self, synth_dir, capsys, caplog, k):
+        code, _ = run(capsys, "cv",
+                      "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"),
+                      "--k", k, "--epochs", "1")
+        assert code == 1
+        assert f"k={k}" in caplog.text
+
+
 class TestArgumentHandling:
     def test_unknown_flag_is_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -261,5 +271,7 @@ class TestGradcheckCommand:
         code, out = run(capsys, "gradcheck", "--seeds", "1")
         assert code == 0
         assert "model/loss" in out
+        for mode in ("uttconcat", "tempalign", "tempalign-cme"):
+            assert f"model/loss {mode} " in out
         assert "FAIL" not in out
         assert "matmul/a" in out

@@ -29,6 +29,16 @@ class TestUtteranceRecord:
         with pytest.raises(InputError):
             make_record(label=7)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, np.bool_(False), "1", None])
+    def test_label_must_be_an_integer(self, bad):
+        # one-hot indexing would fail on these later with a bare IndexError
+        with pytest.raises(InputError, match="label"):
+            make_record(label=bad)
+
+    def test_numpy_integer_label_becomes_int(self):
+        record = make_record(label=np.int64(2))
+        assert record.label == 2 and type(record.label) is int
+
     def test_needs_words(self):
         with pytest.raises(InputError):
             data.UtteranceRecord("a", [], 0, audio_path="a.wav")
@@ -191,6 +201,12 @@ class TestKfoldSplit:
         for fold in plan.folds:
             assert set(fold["train"]).isdisjoint(fold["test"])
             assert sorted(fold["train"] + fold["test"]) == sorted(r.id for r in records)
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, k):
+        records = [make_record(f"r{i}") for i in range(4)]
+        with pytest.raises(InputError, match=f"k={k}"):
+            data.kfold_split(records, k=k)
 
     def test_too_few_records(self):
         with pytest.raises(InputError):

@@ -163,7 +163,7 @@ class TestLowLevelFeatureExtractor:
         assert out[0].shape == out[1].shape
 
     def test_get_params(self):
-        assert LowLevelFeatureExtractor().get_params() == {"width_ms": 25, "step_ms": 10}
+        assert LowLevelFeatureExtractor().get_params() == {}
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):

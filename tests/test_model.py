@@ -62,17 +62,17 @@ class TestModelParams:
 class TestAcousticEncode:
     def test_output_is_128_rows(self, params, rng):
         for n in (1, 7, 98):
-            out = M.acoustic_encode(T.Tensor(rng.standard_normal((34, n))), params)
+            out = M.acoustic_encode(rng.standard_normal((34, n)), params)
             assert out.shape == (128, n)
 
     def test_zero_params_give_zero_output(self, rng):
-        out = M.acoustic_encode(T.Tensor(rng.standard_normal((34, 20))), M.ModelParams.zeros())
+        out = M.acoustic_encode(rng.standard_normal((34, 20)), M.ModelParams.zeros())
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_packed_batch_matches_one_at_a_time(self, params, rng):
         # lengths below, near and far above the widest kernel (20) in one batch
         with T.precision(64):
-            xs = [T.Tensor(rng.standard_normal((34, n))) for n in (1, 3, 19, 80)]
+            xs = [rng.standard_normal((34, n)) for n in (1, 3, 19, 80)]
             packed, starts = M.acoustic_encode_batch(xs, params)
             for x, start in zip(xs, starts):
                 out = packed.data[:, start:start + x.shape[1]]
@@ -87,7 +87,7 @@ class TestAcousticEncode:
             def conv1_grad(encode):
                 trial = dataclasses.replace(params, conv1_w=T.Tensor(params.conv1_w.data,
                                                                      requires_grad=True))
-                out, weigh = encode([T.Tensor(f) for f in feats], trial)
+                out, weigh = encode(feats, trial)
                 T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
                 return trial.conv1_w.grad
 
@@ -205,6 +205,21 @@ class TestForward:
             M.forward_batch([], params, "tempalign")
 
 
+class TestGraphSize:
+    @pytest.mark.parametrize("mode", [m.value for m in M.FusionMode])
+    def test_op_nodes_do_not_grow_with_the_batch(self, params, rng, mode):
+        samples = [make_sample(rng, n_frames=5 + 7 * i % 40, n_words=1 + i % 5, rid=f"s{i}")
+                   for i in range(32)]
+
+        def op_nodes(batch):
+            graph = T._toposort(M.loss(batch, params, mode))
+            return sum(1 for node in graph if node._parents)
+
+        counts = {b: op_nodes(samples[:b]) for b in (1, 2, 13, 32)}
+        assert counts[2] == counts[13] == counts[32], counts
+        assert counts[1] <= counts[2], counts
+
+
 class TestModelGradient:
     @pytest.mark.parametrize("mode", [m.value for m in M.FusionMode])
     def test_every_fusion_mode_passes_gradcheck(self, mode):
@@ -222,7 +237,7 @@ class TestShapeLedger:
 
         sample = make_sample(rng, n_frames=50, n_words=4)
         n, m = 50, 4
-        za1 = M.acoustic_encode(T.Tensor(sample.features), params)
+        za1 = M.acoustic_encode(sample.features, params)
         assert za1.shape == (128, n)
         za2 = temporal_align_pool(za1, sample.alignment)
         assert za2.shape == (128, m)

@@ -59,7 +59,7 @@ def params():
 def test_packed_encoding_matches_single(params, lengths, seed):
     rng = np.random.default_rng(seed)
     with T.precision(64):
-        xs = [T.Tensor(rng.standard_normal((34, n))) for n in lengths]
+        xs = [rng.standard_normal((34, n)) for n in lengths]
         packed, starts = M.acoustic_encode_batch(xs, params)
         for x, start in zip(xs, starts):
             np.testing.assert_allclose(packed.data[:, start:start + x.shape[1]],
