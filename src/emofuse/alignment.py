@@ -95,24 +95,18 @@ def build_alignment(spans: Sequence[WordSpan], n: int, step_ms: int,
 
 
 def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
-               starts: Sequence[int], mode: str = "sum") -> T.Tensor:
+               starts: Sequence[int]) -> T.Tensor:
     """Word columns [q × Σ m_b] of B utterances whose frames are packed in
     z [q × N]: utterance b's n_b frames start at column starts[b], and
-    alignments[b] [n_b × m_b] maps them to its words. Mode "sum" uses each
-    binary matrix as-is; "mean" first divides each nonzero column by its
-    number of ones. Each word sums its frames in time order, bit-identical
-    to a per-word loop and to pooling its utterance alone."""
-    if mode not in ("sum", "mean"):
-        raise InputError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
+    alignments[b] [n_b × m_b] maps them to its words. Each word sums its
+    frames in time order, bit-identical to a per-word loop and to pooling
+    its utterance alone."""
     cols, words, weights, n_words = [], [], [], 0
     for a, start in zip(alignments, starts, strict=True):
         mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a, dtype=np.float64)
         if z.data.ndim != 2 or mat.ndim != 2 or start + mat.shape[0] > z.shape[1]:
             raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment "
                                  f"{mat.shape} from column {start}")
-        if mode == "mean":
-            counts = mat.sum(axis=0)
-            mat = mat / np.where(counts > 0, counts, 1.0)
         word, frame = np.nonzero(mat.T)  # word-major, frames ascending per word
         cols.append(start + frame)
         words.append(n_words + word)
@@ -122,14 +116,13 @@ def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
                        np.concatenate(weights), n_words)
 
 
-def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray,
-                        mode: str = "sum") -> T.Tensor:
+def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray) -> T.Tensor:
     """Pool frame columns of z [q × n] into word columns [q × m] via z @ A:
     the one-utterance case of ``pool_words``."""
     n = (a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)).shape[0]
     if z.data.ndim != 2 or z.shape[1] != n:
         raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment with {n} frames")
-    return pool_words(z, [a], [0], mode)
+    return pool_words(z, [a], [0])
 
 
 def validate_alignment(a: AlignmentMatrix) -> AlignmentDiagnostics:

@@ -220,9 +220,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("EMOFUSE_LOG", "info")
+    # getLevelName maps a known level name to its number, anything else to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"emofuse: error: EMOFUSE_LOG={level!r} is not a log level; "
+              "use one of debug, info, warning, error, critical", file=sys.stderr)
+        return 1
     logging.basicConfig(
         stream=sys.stderr,
-        level=os.environ.get("EMOFUSE_LOG", "info").upper(),
+        level=level.upper(),
         format="%(asctime)s %(name)s %(levelname)s: %(message)s",
     )
     parser = build_parser()

@@ -28,9 +28,7 @@ class EmotionRecognizer(ParamsMixin):
 
     def __init__(self, embeddings=None, fusion_mode="tempalign-cme",
                  learning_rate=0.001, adam_beta1=0.9, adam_beta2=0.999,
-                 adam_eps=1e-8, epochs=50, batch_size=32, seed=0,
-                 loss_reduction="sum", precision=32, clip_norm=5.0,
-                 pool_mode="sum"):
+                 adam_eps=1e-8, epochs=50, batch_size=32, seed=0, clip_norm=5.0):
         self.embeddings = embeddings
         self.fusion_mode = fusion_mode
         self.learning_rate = learning_rate
@@ -40,10 +38,7 @@ class EmotionRecognizer(ParamsMixin):
         self.epochs = epochs
         self.batch_size = batch_size
         self.seed = seed
-        self.loss_reduction = loss_reduction
-        self.precision = precision
         self.clip_norm = clip_norm
-        self.pool_mode = pool_mode
 
     def _config(self) -> training.TrainConfig:
         return training.TrainConfig(**{f.name: getattr(self, f.name)
@@ -110,9 +105,7 @@ class EmotionRecognizer(ParamsMixin):
     def load(cls, path, embeddings=None) -> "EmotionRecognizer":
         """Rebuild a fitted estimator from a checkpoint file."""
         checkpoint = M.load_checkpoint(path)
-        estimator = cls(embeddings=embeddings,
-                        fusion_mode=checkpoint.fusion_mode.value,
-                        pool_mode=checkpoint.pool_mode)
+        estimator = cls(embeddings=embeddings, fusion_mode=checkpoint.fusion_mode.value)
         return estimator._set_fitted(checkpoint, [])
 
 

@@ -169,11 +169,9 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     "tanh": lambda rng: _on_matrix(rng, T.tanh),
     "relu": lambda rng: (lambda x: T.sum_all(T.relu(x)),
                          T.Tensor(_away_from_zero(rng, (_dim(rng), _dim(rng))))),
-    "scale": lambda rng: _on_matrix(rng, lambda x: T.scale(x, 1.7)),
     "hadamard": lambda rng: _with_other(rng, T.hadamard),
     "add": lambda rng: _with_other(rng, T.add),
     "concat_rows": lambda rng: _with_other(rng, lambda x, o: T.sigmoid(T.concat_rows(x, o))),
-    "concat_cols": lambda rng: _with_other(rng, lambda x, o: T.sigmoid(T.concat_cols(o, x, o))),
     "slice_rows": lambda rng: _on_matrix(
         rng, lambda x: T.sigmoid(T.slice_rows(x, 0, x.shape[0] - 1)), min_rows=2),
     "slice_cols": lambda rng: _on_matrix(

@@ -25,6 +25,7 @@ still running, and the max-pool reads each sequence's own columns.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -228,7 +229,7 @@ def _bilstm(g: T.Tensor, lengths: np.ndarray, params: ModelParams) -> T.Tensor:
 
 
 def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
-                  mode: FusionMode | str, pool_mode: str = "sum") -> T.Tensor:
+                  mode: FusionMode | str) -> T.Tensor:
     """Class probabilities [4 × B] for a batch of prepared samples."""
     mode = FusionMode.parse(mode)
     if not samples:
@@ -242,7 +243,7 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
         tokens = np.stack([s.token_vectors.mean(axis=1) for s in samples], axis=1)
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        z_a = pool_words(acoustic, [s.alignment for s in samples], starts, pool_mode)
+        z_a = pool_words(acoustic, [s.alignment for s in samples], starts)
         tokens = np.concatenate([s.token_vectors for s in samples], axis=1,
                                 dtype=T.default_dtype())
     z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)
@@ -256,29 +257,22 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     return T.softmax_columns(logits)
 
 
-def forward(sample: PreparedSample, params: ModelParams, mode: FusionMode | str,
-            pool_mode: str = "sum") -> T.Tensor:
+def forward(sample: PreparedSample, params: ModelParams, mode: FusionMode | str) -> T.Tensor:
     """Class probabilities [4 × 1] for one utterance."""
-    return forward_batch([sample], params, mode, pool_mode=pool_mode)
+    return forward_batch([sample], params, mode)
 
 
 def loss(samples: Sequence[PreparedSample], params: ModelParams,
-         mode: FusionMode | str, reduction: str = "sum",
-         pool_mode: str = "sum") -> T.Tensor:
-    """Cross-entropy over a batch, summed per default (mean via config)."""
+         mode: FusionMode | str) -> T.Tensor:
+    """Cross-entropy summed over a batch."""
     if not samples:
         raise InputError("loss needs a nonempty batch")
     for s in samples:
         check_label(s.label, f"sample {s.id!r}: label")
-    if reduction not in ("sum", "mean"):
-        raise InputError(f"loss reduction must be 'sum' or 'mean', got {reduction!r}")
-    probs = forward_batch(samples, params, mode, pool_mode=pool_mode)
+    probs = forward_batch(samples, params, mode)
     onehot = np.zeros((N_CLASSES, len(samples)))
     onehot[[s.label for s in samples], np.arange(len(samples))] = 1.0
-    total = T.cross_entropy(probs, onehot)
-    if reduction == "mean":
-        return T.scale(total, 1.0 / len(samples))
-    return total
+    return T.cross_entropy(probs, onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,6 @@ class Checkpoint:
     fusion_mode: FusionMode
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    pool_mode: str = "sum"
 
     def stats(self) -> tuple[np.ndarray, np.ndarray]:
         return self.feature_mean, self.feature_std
@@ -321,7 +314,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = json.dumps({
         "version": _CKPT_VERSION,
         "fusion_mode": ckpt.fusion_mode.value,
-        "pool_mode": ckpt.pool_mode,
         "feature_order_hash": feature_order_hash(),
         "tensors": entries,
     }, sort_keys=True).encode("utf-8")
@@ -356,15 +348,26 @@ def load_checkpoint(path) -> Checkpoint:
                 f"({header['feature_order_hash']} vs {feature_order_hash()})")
         arrays: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-            if len(raw) != entry["nbytes"]:
+            name, offset, nbytes, shape = (str(entry["name"]), entry["offset"],
+                                           entry["nbytes"], list(entry["shape"]))
+            # bool is an int subclass; JSON true must not pass as offset 1
+            if not all(type(v) is int and v >= 0 for v in (offset, nbytes, *shape)):
+                raise InputError(f"{path}: tensor {name} needs non-negative integer "
+                                 f"offset, nbytes and shape, got {offset!r}, {nbytes!r}, {shape!r}")
+            if nbytes != 4 * math.prod(shape):
+                raise InputError(f"{path}: tensor {name} has {nbytes} bytes for shape {shape}")
+            if name in arrays:
+                raise InputError(f"{path}: tensor {name} is listed twice")
+            raw = payload[offset:offset + nbytes]
+            if len(raw) != nbytes:
                 raise InputError(f"{path}: truncated checkpoint payload")
             # a copy: a view of the file's bytes would be read-only
-            arrays[str(entry["name"])] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         fusion_mode = FusionMode.parse(header["fusion_mode"])
-        pool_mode = header.get("pool_mode", "sum")
-        if pool_mode not in ("sum", "mean"):
-            raise InputError(f"{path}: unknown pool mode {pool_mode!r}")
+        # older files record the pooling; every model since sums each word's frames
+        if header.get("pool_mode", "sum") != "sum":
+            raise InputError(f"{path}: checkpoint was trained with pool mode "
+                             f"{header['pool_mode']!r}; only 'sum' is supported")
     except InputError:
         raise
     except (struct.error, ValueError, KeyError, TypeError) as exc:
@@ -395,5 +398,4 @@ def load_checkpoint(path) -> Checkpoint:
         fusion_mode=fusion_mode,
         feature_mean=np.asarray(feature_mean, dtype=np.float64),
         feature_std=np.asarray(feature_std, dtype=np.float64),
-        pool_mode=pool_mode,
     )

@@ -21,8 +21,9 @@ Design constraints:
   - Every op output and every leaf gradient is checked for NaN/inf, so a
     divergence surfaces as ``FloatingPointError`` at the op that made it,
     before saturating activations can hide it.
-  - Default dtype is float32; ``precision(64)`` switches it for a block
-    (gradient checking runs under it).
+  - Default dtype is float32; ``precision(64)``, the one dtype switch,
+    changes it for a block (gradient checking runs under it). Training and
+    inference run in the dtype current where they are called.
   - A graph belongs to one thread; independent graphs may run in parallel.
     The dtype is a context variable, so ``precision`` in one thread never
     changes another thread's tensors; a thread that does not inherit its
@@ -41,7 +42,6 @@ from .errors import DimensionError
 
 __all__ = [
     "Tensor",
-    "zeros",
     "precision",
     "matmul",
     "linear",
@@ -52,9 +52,7 @@ __all__ = [
     "hadamard",
     "add",
     "add_bias",
-    "scale",
     "concat_rows",
-    "concat_cols",
     "slice_rows",
     "slice_cols",
     "mean_cols",
@@ -132,10 +130,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_dtype.get()), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -355,42 +349,23 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     return _result(out_data, (x, bias), grad_fn, "add_bias")
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * c)
-
-    return _result(x.data * c, (x,), grad_fn, "scale")
-
-
 def concat_rows(*tensors: Tensor) -> Tensor:
     """Stack tensors vertically; all must share the column count."""
-    return _concat(tensors, 0, "concat_rows")
-
-
-def concat_cols(*tensors: Tensor) -> Tensor:
-    """Place tensors side by side; all must share the row count."""
-    return _concat(tensors, 1, "concat_cols")
-
-
-def _concat(tensors: tuple[Tensor, ...], axis: int, name: str) -> Tensor:
     if not tensors:
-        raise ValueError(f"{name} needs at least one tensor")
+        raise ValueError("concat_rows needs at least one tensor")
     for t in tensors:
-        _need_2d(t, name)
-        if t.shape[1 - axis] != tensors[0].shape[1 - axis]:
-            kept = "column" if axis == 0 else "row"
-            raise DimensionError(f"{name} {kept} counts differ: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+        _need_2d(t, "concat_rows")
+        if t.shape[1] != tensors[0].shape[1]:
+            raise DimensionError(f"concat_rows column counts differ: {[t.shape for t in tensors]}")
+    out_data = np.concatenate([t.data for t in tensors], axis=0)
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
 
     def grad_fn(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                _accumulate(t, g[lo:hi] if axis == 0 else g[:, lo:hi])
+                _accumulate(t, g[lo:hi])
 
-    return _result(out_data, tuple(tensors), grad_fn, name)
+    return _result(out_data, tuple(tensors), grad_fn, "concat_rows")
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:

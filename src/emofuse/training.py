@@ -36,10 +36,7 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     fusion_mode: str = "tempalign-cme"
-    loss_reduction: str = "sum"
-    precision: int = 32
     clip_norm: float = 5.0
-    pool_mode: str = "sum"
 
     def validate(self) -> "TrainConfig":
         for f in fields(self):
@@ -57,12 +54,6 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.loss_reduction not in ("sum", "mean"):
-            raise InputError(f"loss_reduction must be sum or mean, got {self.loss_reduction!r}")
-        if self.precision not in (32, 64):
-            raise InputError(f"precision must be 32 or 64, got {self.precision}")
-        if self.pool_mode not in ("sum", "mean"):
-            raise InputError(f"pool_mode must be sum or mean, got {self.pool_mode!r}")
         if self.clip_norm < 0:
             raise InputError(f"clip_norm must be >= 0 (0 disables), got {self.clip_norm}")
         M.FusionMode.parse(self.fusion_mode)
@@ -104,12 +95,16 @@ def adam_step(params: M.ModelParams, state: AdamState, config: TrainConfig) -> N
 
 
 def clip_gradients(params: M.ModelParams, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
+    """Scale all gradients so their global L2 norm is at most max_norm;
+    returns the norm before scaling."""
     grads = [t.grad for t in params.tensors() if t.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
-    norm = math.sqrt(total)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    if not math.isfinite(norm):
+        # finite gradients whose squares overflow: divide by the largest
+        # magnitude first, so every square is at most 1
+        peak = max(float(np.abs(g).max()) for g in grads)
+        norm = peak * math.sqrt(sum(float(np.square(g / peak).sum()) for g in grads))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for g in grads:
@@ -249,7 +244,9 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
 
     Feature z-normalization statistics come from this training split and are
     stored in the checkpoint. Mini-batches are reshuffled every epoch from
-    the config seed, so identical inputs give identical loss curves.
+    the config seed, so identical inputs give identical loss curves. It
+    trains in the current tensor dtype: float32, or float64 inside
+    ``T.precision(64)``.
     """
     config.validate()
     if not records:
@@ -258,46 +255,42 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
     raw = gather_features(records, feature_cache)
     stats = feature_stats(raw)
 
-    with T.precision(config.precision):
-        prepared = prepare_all(records, table, stats, raw)
-        params = M.init_params(config.seed)
-        state = AdamState(params)
-        shuffle_rng = np.random.default_rng(config.seed + 1)
-        curve: list[float] = []
-        for epoch in range(config.epochs):
-            order = shuffle_rng.permutation(len(prepared))
-            epoch_total = 0.0
-            norms = []
-            for start in range(0, len(order), config.batch_size):
-                batch = [prepared[i] for i in order[start:start + config.batch_size]]
-                try:
-                    batch_loss = M.loss(batch, params, mode,
-                                        reduction=config.loss_reduction,
-                                        pool_mode=config.pool_mode)
-                    value = batch_loss.item()
-                    if not math.isfinite(value):
-                        raise FloatingPointError("loss is not finite")
-                    params.zero_grad()
-                    T.backward(batch_loss)
-                except FloatingPointError as exc:
-                    raise DivergenceError(
-                        f"training diverged at epoch {epoch}, batch starting {start}: {exc}"
-                    ) from exc
-                norms.append(clip_gradients(params, config.clip_norm))
-                adam_step(params, state, config)
-                epoch_total += value if config.loss_reduction == "sum" else value * len(batch)
-            curve.append(epoch_total / len(prepared))
-            clipped = sum(0 < config.clip_norm < norm for norm in norms)
-            logger.debug("epoch %d/%d mean loss %.6f, max pre-clip gradient norm %.4g, "
-                         "clip rate %.2f", epoch + 1, config.epochs, curve[-1], max(norms),
-                         clipped / len(norms))
+    prepared = prepare_all(records, table, stats, raw)
+    params = M.init_params(config.seed)
+    state = AdamState(params)
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    curve: list[float] = []
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(prepared))
+        epoch_total = 0.0
+        norms = []
+        for start in range(0, len(order), config.batch_size):
+            batch = [prepared[i] for i in order[start:start + config.batch_size]]
+            try:
+                batch_loss = M.loss(batch, params, mode)
+                value = batch_loss.item()
+                if not math.isfinite(value):
+                    raise FloatingPointError("loss is not finite")
+                params.zero_grad()
+                T.backward(batch_loss)
+            except FloatingPointError as exc:
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, batch starting {start}: {exc}"
+                ) from exc
+            norms.append(clip_gradients(params, config.clip_norm))
+            adam_step(params, state, config)
+            epoch_total += value
+        curve.append(epoch_total / len(prepared))
+        clipped = sum(0 < config.clip_norm < norm for norm in norms)
+        logger.debug("epoch %d/%d mean loss %.6f, max pre-clip gradient norm %.4g, "
+                     "clip rate %.2f", epoch + 1, config.epochs, curve[-1], max(norms),
+                     clipped / len(norms))
 
     checkpoint = M.Checkpoint(
         params=params,
         fusion_mode=mode,
         feature_mean=stats[0],
         feature_std=stats[1],
-        pool_mode=config.pool_mode,
     )
     return checkpoint, curve
 
@@ -317,8 +310,7 @@ def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
     probs = np.empty((len(prepared), M.N_CLASSES))
     for start in range(0, len(prepared), batch_size):
         chunk = prepared[start:start + batch_size]
-        out = M.forward_batch(chunk, checkpoint.params, checkpoint.fusion_mode,
-                              pool_mode=checkpoint.pool_mode)
+        out = M.forward_batch(chunk, checkpoint.params, checkpoint.fusion_mode)
         probs[start:start + len(chunk)] = out.data.T
     return probs.argmax(axis=1), probs
 

@@ -142,30 +142,9 @@ class TestTemporalAlignPool:
                 got = temporal_align_pool(T.Tensor(z), a).data
                 np.testing.assert_array_equal(got, loop_pool(z, a))
 
-    def test_mean_mode_on_constant_input(self):
-        z = T.Tensor(np.full((3, 6), 2.5))
-        a = np.zeros((6, 2))
-        a[:4, 0] = 1.0
-        a[4:, 1] = 1.0
-        summed = temporal_align_pool(z, a, mode="sum").data
-        meaned = temporal_align_pool(z, a, mode="mean").data
-        np.testing.assert_allclose(summed, [[10.0, 5.0]] * 3)
-        np.testing.assert_allclose(meaned, 2.5)
-
-    def test_mean_mode_empty_column_stays_zero(self):
-        z = T.Tensor(np.ones((2, 3)))
-        a = np.zeros((3, 2))
-        a[:, 0] = 1.0
-        out = temporal_align_pool(z, a, mode="mean").data
-        np.testing.assert_array_equal(out[:, 1], 0.0)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             temporal_align_pool(T.Tensor(np.ones((2, 4))), np.ones((3, 1)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            temporal_align_pool(T.Tensor(np.ones((2, 3))), np.ones((3, 1)), mode="median")
 
     def test_gradient_flows_through_pooling(self):
         with T.precision(64):
@@ -177,8 +156,7 @@ class TestTemporalAlignPool:
 
 class TestPoolWords:
     @pytest.mark.parametrize("bits", [32, 64])
-    @pytest.mark.parametrize("mode", ["sum", "mean"])
-    def test_packed_matches_per_utterance_bit_for_bit(self, bits, mode):
+    def test_packed_matches_per_utterance_bit_for_bit(self, bits):
         # values and gradients; the gap columns between utterances get none
         rng = np.random.default_rng(bits)
         with T.precision(bits):
@@ -189,13 +167,13 @@ class TestPoolWords:
                 z = rng.standard_normal((5, starts[-1] + aligns[-1].shape[0]))
                 weigh = rng.standard_normal((5, sum(a.shape[1] for a in aligns)))
                 packed_z = T.Tensor(z, requires_grad=True)
-                packed = pool_words(packed_z, aligns, starts, mode)
+                packed = pool_words(packed_z, aligns, starts)
                 T.backward(T.sum_all(T.hadamard(packed, T.Tensor(weigh))))
                 want, want_grad = [], np.zeros_like(packed_z.data)
                 word = 0
                 for a, start in zip(aligns, starts):
                     part = T.Tensor(z[:, start:start + a.shape[0]], requires_grad=True)
-                    single = temporal_align_pool(part, a, mode)
+                    single = temporal_align_pool(part, a)
                     T.backward(T.sum_all(T.hadamard(
                         single, T.Tensor(weigh[:, word:word + a.shape[1]]))))
                     want.append(single.data)

@@ -137,8 +137,10 @@ class TestTrainEval:
                       "--out", str(tmp_path / "m.emc"), "--config", str(config))
         assert code == 1
 
-    @pytest.mark.parametrize("config_text", ['{"epochs": "2"}', "5", '{"learning_rate": NaN}'],
-                             ids=["string-epochs", "top-level-number", "nan-rate"])
+    @pytest.mark.parametrize("config_text", ['{"epochs": "2"}', "5", '{"learning_rate": NaN}',
+                                             '{"loss_reduction": "mean"}'],
+                             ids=["string-epochs", "top-level-number", "nan-rate",
+                                  "deleted-loss-reduction"])
     def test_unusable_config_file_is_exit_1(self, synth_dir, tmp_path, capsys, config_text):
         config = tmp_path / "bad.json"
         config.write_text(config_text)
@@ -247,6 +249,14 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             cli.main(["dance"])
         assert exc.value.code == 1
+
+    def test_unknown_log_level_is_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("EMOFUSE_LOG", "verbose")
+        code = cli.main(["gradcheck", "--seeds", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'verbose'" in err and "debug, info, warning, error, critical" in err
+        assert "Traceback" not in err
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ def _valid_array(array) -> bool:
 
 
 def _valid_checkpoint(ckpt) -> bool:
-    return (ckpt.pool_mode in ("sum", "mean") and bool(np.all(ckpt.feature_std > 0))
+    return (bool(np.all(ckpt.feature_std > 0))
             and all(np.all(np.isfinite(t.data)) for t in ckpt.params.tensors()))
 
 

@@ -1,7 +1,6 @@
 """Tests for the network stages, fusion modes and checkpoints."""
 
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -84,27 +83,28 @@ class TestAcousticEncode:
             feats = [rng.standard_normal((34, n)) for n in (2, 25)]
             weights = [rng.standard_normal((128, n)) for n in (2, 25)]
 
-            def conv1_grad(encode):
+            def conv1_grad(losses):
                 trial = dataclasses.replace(params, conv1_w=T.Tensor(params.conv1_w.data,
                                                                      requires_grad=True))
-                out, weigh = encode(feats, trial)
-                T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
+                for value in losses(trial):
+                    T.backward(value)
                 return trial.conv1_w.grad
 
-            def packed_encode(xs, p):
+            def packed_losses(p):
                 # gap columns get weight 0
-                out, starts = M.acoustic_encode_batch(xs, p)
+                out, starts = M.acoustic_encode_batch(feats, p)
                 weigh = np.zeros(out.shape)
                 for w, start in zip(weights, starts):
                     weigh[:, start:start + w.shape[1]] = w
-                return out, weigh
+                return [T.sum_all(T.hadamard(out, T.Tensor(weigh)))]
 
-            def single_encode(xs, p):
-                return (T.concat_cols(*[M.acoustic_encode(x, p) for x in xs]),
-                        np.concatenate(weights, axis=1))
+            def single_losses(p):
+                # one graph per utterance; their gradients add up in conv1_w
+                return [T.sum_all(T.hadamard(M.acoustic_encode(x, p), T.Tensor(w)))
+                        for x, w in zip(feats, weights)]
 
-            packed = conv1_grad(packed_encode)
-            single = conv1_grad(single_encode)
+            packed = conv1_grad(packed_losses)
+            single = conv1_grad(single_losses)
             np.testing.assert_allclose(packed, single, rtol=0, atol=1e-10)
 
 
@@ -118,7 +118,7 @@ class TestCrossModalityExcite:
 
     def test_zero_acoustic_stays_zero(self, params, rng):
         z_s = T.Tensor(rng.standard_normal((128, 4)))
-        out = M.cross_modality_excite(z_s, T.zeros((128, 4)), params)
+        out = M.cross_modality_excite(z_s, T.Tensor(np.zeros((128, 4))), params)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_saturated_gate_opens_fully(self, rng):
@@ -168,14 +168,13 @@ class TestForward:
             ragged.alignment[2, 0] = 1.0
             ragged.alignment[5:11, 2] = 1.0
             samples.append(ragged)
-            for mode, pool_mode in itertools.product(M.FusionMode, ("sum", "mean")):
-                single = {s.id: M.forward(s, params, mode, pool_mode=pool_mode).data[:, 0]
-                          for s in samples}
+            for mode in M.FusionMode:
+                single = {s.id: M.forward(s, params, mode).data[:, 0] for s in samples}
                 for batch in ([samples[0]], [samples[3]], samples, samples[::-1]):
-                    batched = M.forward_batch(batch, params, mode, pool_mode=pool_mode).data
+                    batched = M.forward_batch(batch, params, mode).data
                     for i, sample in enumerate(batch):
                         np.testing.assert_allclose(batched[:, i], single[sample.id], atol=1e-12,
-                                                   err_msg=f"{mode.value} {pool_mode}")
+                                                   err_msg=mode.value)
 
     def test_gate_law_zero_weight_equals_halved_tempalign(self, rng):
         # with a zero gate weight the gate is exactly 1/2, and halving the
@@ -263,12 +262,6 @@ class TestLoss:
             batch = [make_sample(rng, label=i % 4, rid=f"b{i}") for i in range(5)]
             value = M.loss(batch, M.ModelParams.zeros(), "tempalign-cme").item()
             assert value == pytest.approx(5 * np.log(4.0), abs=1e-9)
-
-    def test_mean_reduction(self, rng):
-        with T.precision(64):
-            batch = [make_sample(rng, label=i % 4, rid=f"b{i}") for i in range(5)]
-            value = M.loss(batch, M.ModelParams.zeros(), "tempalign", reduction="mean").item()
-            assert value == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_confident_correct_prediction_near_zero(self, rng):
         arrays = {name: np.zeros(shape) for name, shape in M.PARAM_SHAPES.items()}
@@ -404,6 +397,15 @@ class TestCheckpoint:
         pytest.param(payload_edit("feature_mean", np.inf), id="inf-statistic"),
         pytest.param(payload_edit("feature_std", -1.0), id="negative-std"),
         pytest.param(header_edit(lambda h: {**h, "pool_mode": "max"}), id="unknown-pool-mode"),
+        # weights trained with the mean pooling that no longer exists
+        pytest.param(header_edit(lambda h: {**h, "pool_mode": "mean"}), id="mean-pool-mode"),
+        # an offset past the start would read the bytes of feature_std
+        pytest.param(tensor_edit("fcn2_b", offset=-136), id="negative-offset"),
+        pytest.param(tensor_edit("fcn2_b", offset=True), id="bool-offset"),
+        pytest.param(tensor_edit("fcn2_b", shape=[-1]), id="negative-shape-dim"),
+        pytest.param(header_edit(lambda h: {**h, "tensors": h["tensors"] + [
+            {**next(e for e in h["tensors"] if e["name"] == "fcn2_b"), "offset": 0}]}),
+            id="tensor-listed-twice"),
         pytest.param(header_edit(lambda h: {**h, "fusion_mode": 5}), id="fusion-mode-not-string"),
     ])
     def test_rejects_malformed_content(self, tmp_path, params, corrupt):
@@ -412,3 +414,14 @@ class TestCheckpoint:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(InputError):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: {**h, "pool_mode": "sum"}, id="sum"),
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "pool_mode"}, id="absent"),
+    ])
+    def test_loads_header_with_sum_or_no_pool_mode(self, tmp_path, params, edit):
+        path = tmp_path / "model.emc"
+        M.save_checkpoint(self._checkpoint(params), path)
+        path.write_bytes(header_edit(edit)(path.read_bytes()))
+        loaded = M.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.params.fcn2_w.data, params.fcn2_w.data)

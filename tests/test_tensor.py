@@ -1,5 +1,8 @@
 """Tests for the tensor core: forward values, error handling, backward."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -297,7 +300,7 @@ class TestBackward:
             through = T.sum_all(T.hadamard(shared, T.Tensor(weigh)))
         else:
             through = shared
-        direct = T.sum_all(T.scale(x, 3.0))
+        direct = T.sum_all(T.hadamard(x, T.Tensor(np.full(x.shape, 3.0))))
         T.backward(T.add(through, direct) if view_first else T.add(direct, through))
         want_x = {"concat_rows": weigh[:2], "add": weigh[:2],
                   "mean_cols": np.repeat(weigh[:, :1] / 3.0, 3, axis=1),
@@ -312,7 +315,7 @@ class TestBackward:
     def test_view_gradients_sum_across_graphs(self, f64):
         x, y = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(2))
         first = T.concat_rows(x, y)
-        T.backward(T.sum_all(T.scale(first, 2.0)))
+        T.backward(T.sum_all(T.hadamard(first, T.Tensor(np.full(first.shape, 2.0)))))
         T.backward(T.sum_all(T.concat_rows(y, x)))
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
         np.testing.assert_array_equal(y.grad, np.full((2, 2), 3.0))
@@ -352,7 +355,7 @@ class TestGradCheckHarness:
 
     def test_every_differentiable_op_has_a_case(self):
         from emofuse.gradcheck import _op_cases
-        not_ops = {"Tensor", "zeros", "precision", "backward"}
+        not_ops = {"Tensor", "precision", "backward"}
         cases = _op_cases(0)
         checked = {name.split("/")[0].split(" ")[0] for name, _, _ in cases}
         assert checked == set(T.__all__) - not_ops
@@ -420,14 +423,34 @@ class TestPrecisionConfig:
         assert seen == {"holder": np.float64, "other": np.float32}
 
 
-class TestColumnOps:
-    def test_concat_cols(self):
-        out = T.concat_cols(T.Tensor([[1.0], [2.0]]), T.Tensor([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[1, 3, 4], [2, 5, 6]])
+# Names in T.__all__ that need no caller in the pipeline, and why.
+CALLER_EXEMPT = {
+    "sum_all": "the scalariser every gradient check wraps around the op it checks",
+    "Tensor": "the array type every op takes and returns, not an op",
+    "precision": "the dtype switch; callers choose float64 with it",
+    "backward": "runs the recorded graph, not an op that records one",
+}
 
-    def test_concat_cols_row_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.concat_cols(T.zeros((2, 1)), T.zeros((3, 1)))
+
+class TestOpRegistry:
+    def test_every_op_has_a_caller(self):
+        # a caller is a T.<name> reference in the package's code outside the
+        # tensor core and its gradient checker, or a name the benchmark traces
+        package = Path(T.__file__).parent
+        called = set()
+        for path in package.glob("*.py"):
+            if path.name in ("tensor.py", "gradcheck.py"):
+                continue
+            called |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id == "T"}
+        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        traced = next(ast.literal_eval(node.value)
+                      for node in ast.parse(workloads.read_text()).body
+                      if isinstance(node, ast.Assign)
+                      and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TENSOR_OPS"])
+        uncalled = set(T.__all__) - called - set(traced) - set(CALLER_EXEMPT)
+        assert not uncalled, f"ops nothing calls; delete them: {sorted(uncalled)}"
 
 
 def lstm_reference(x_proj, w_h, bias, reverse=False):
