@@ -30,6 +30,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    return int(text)
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -213,7 +219,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of every op and of the model in each mode",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_count, default=5)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -238,7 +244,8 @@ def main(argv=None) -> int:
     logger.info("running %s with %s", args.command, resolved)
     try:
         return args.func(args)
-    except (EmofuseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (EmofuseError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         logger.error("%s", exc)
         return 1
     except DivergenceError as exc:

@@ -6,11 +6,11 @@ a closure that pushes the output gradient back to its parents. ``backward``
 walks the resulting graph once, in reverse topological order.
 
 Besides the generic algebra, two fused ops carry the model's hot loops:
-``conv1d_same`` is one im2col matmul forward and one transposed-conv matmul
-backward, and ``lstm`` runs a whole LSTM direction (every step's gates and
-cell update) over sequences packed one after another, with a hand-written
-backpropagation through time, fed by an input projection computed once
-for all steps.
+``conv1d_same`` is im2col matmuls over blocks of ``CONV_BLOCK`` columns,
+forward and (as a transposed conv) backward, and ``lstm`` runs a whole
+LSTM direction (every step's gates and cell update) over sequences packed
+one after another, with a hand-written backpropagation through time, fed
+by an input projection computed once for all steps.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
@@ -18,6 +18,8 @@ Design constraints:
     mismatches raise ``DimensionError`` to catch wiring bugs early.
   - Gradients are allocated lazily: a tensor's first contribution becomes
     its gradient (copied when it is a view or a broadcast), later ones add.
+  - ``backward`` releases each node once its gradient has passed on, so what
+    no caller holds dies during the pass; a graph runs backward once.
   - Every op output and every leaf gradient is checked for NaN/inf, so a
     divergence surfaces as ``FloatingPointError`` at the op that made it,
     before saturating activations can hide it.
@@ -67,6 +69,7 @@ __all__ = [
 ]
 
 _DTYPES = {32: np.float32, 64: np.float64}
+CONV_BLOCK = 1000  # im2col columns per matmul; a 1024-float (4 KB) row stride thrashes BLAS packing
 _dtype: ContextVar[type] = ContextVar("emofuse_dtype", default=np.float32)
 
 
@@ -99,8 +102,7 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 class Tensor:
     """A dense float array plus an optional gradient of the same shape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn",
-                 "_backward_done", "_softmax_src")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_softmax_src")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_dtype.get())
@@ -108,7 +110,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn: Callable[[np.ndarray], None] | None = None
-        self._backward_done = False
         self._softmax_src: Tensor | None = None
         _check_finite(self.data, "tensor construction")
 
@@ -138,7 +139,6 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._backward_done = False
     out._softmax_src = None
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -219,7 +219,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over x [cin×n] with stride 1 and zero padding that
-    preserves the sequence length (pad_left = (k−1)//2, pad_right = k//2)."""
+    preserves the sequence length (pad_left = (k−1)//2, pad_right = k//2).
+    Every product unrolls ``CONV_BLOCK`` columns at a time (im2col), so no
+    [cin·k × n] copy of the whole input is ever made."""
     _need_2d(x, "conv1d_same")
     if filters.data.ndim != 3:
         raise DimensionError(f"conv1d_same filters must be [cout×cin×k], got {filters.shape}")
@@ -233,38 +235,48 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv1d_same bias shape {bias.shape} does not match cout {cout}")
 
     pad_left = (k - 1) // 2
-    xp = _pad_cols(x.data, pad_left, k - 1 - pad_left)
     w2 = filters.data.reshape(cout, cin * k)
-    out_data = w2 @ _im2col(xp, k, n) + bias.data[:, None]
+    out_data = np.empty((cout, n), dtype=np.result_type(w2, x.data, bias.data))
+    for start, stop, cols in _im2col_blocks(x.data, k, pad_left):
+        out_data[:, start:stop] = w2 @ cols
+    out_data += bias.data[:, None]
 
     def grad_fn(g: np.ndarray) -> None:
         if filters.requires_grad:
-            # rebuilt here rather than kept from the forward pass: the
-            # [cin·k × n] copy would otherwise live as long as the graph
-            _accumulate(filters, (g @ _im2col(xp, k, n).T).reshape(cout, cin, k))
+            # the blocks are rebuilt here rather than kept from the forward
+            # pass, which would hold a [cin·k × n] copy as long as the graph
+            g_w = np.zeros((cout, cin * k), dtype=g.dtype)
+            for start, stop, cols in _im2col_blocks(x.data, k, pad_left):
+                g_w += g[:, start:stop] @ cols.T
+            _accumulate(filters, g_w.reshape(cout, cin, k))
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=1))
         if x.requires_grad:
             # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
             # with g padded by the mirrored amounts
             w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
-            gp = _pad_cols(g, k - 1 - pad_left, pad_left)
-            _accumulate(x, w_flip @ _im2col(gp, k, n))
+            g_x = np.empty((cin, n), dtype=g.dtype)
+            for start, stop, cols in _im2col_blocks(g, k, k - 1 - pad_left):
+                g_x[:, start:stop] = w_flip @ cols
+            _accumulate(x, g_x)
 
     return _result(out_data, (x, filters, bias), grad_fn, "conv1d_same")
 
 
-def _pad_cols(a: np.ndarray, left: int, right: int) -> np.ndarray:
-    out = np.zeros((a.shape[0], left + a.shape[1] + right), dtype=a.dtype)
-    out[:, left:left + a.shape[1]] = a
-    return out
-
-
-def _im2col(ap: np.ndarray, k: int, n: int) -> np.ndarray:
-    """cols[c·k + j, t] = ap[c, t + j] for a padded ap [c × (n + k − 1)]."""
-    s0, s1 = ap.strides
-    windows = np.lib.stride_tricks.as_strided(ap, shape=(ap.shape[0], k, n), strides=(s0, s1, s1))
-    return windows.reshape(ap.shape[0] * k, n)
+def _im2col_blocks(a: np.ndarray, k: int, left: int):
+    """Yield (start, stop, cols) per block of CONV_BLOCK columns of a [c×n]:
+    cols[c·k + j, t] = a[c, start + t + j − left], zero outside a, in one
+    buffer that the next block overwrites."""
+    c, n = a.shape
+    padded = np.zeros((c, n + k - 1), dtype=a.dtype)
+    padded[:, left:left + n] = a
+    s0, s1 = padded.strides
+    cols = np.empty((c, k, min(n, CONV_BLOCK)), dtype=a.dtype)
+    for start in range(0, n, CONV_BLOCK):
+        width = min(CONV_BLOCK, n - start)
+        cols[:, :, :width] = np.lib.stride_tricks.as_strided(padded[:, start:], (c, k, width),
+                                                             (s0, s1, s1))
+        yield start, start + width, cols.reshape(c * k, -1)[:, :width]
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -667,29 +679,35 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray) -> None:
+    raise RuntimeError("backward already ran through this graph; rebuild it first")
+
+
 def backward(loss: Tensor) -> None:
     """Fill ``grad`` on every tensor with requires_grad that the loss's
     gradient reaches.
 
-    Gradients accumulate across calls on *different* graphs; calling twice
-    on the same loss raises, since that would double-count.
+    A graph runs backward once: a node that has passed its gradient on is
+    released, and a later call that reaches it raises before any gradient
+    moves. Leaf gradients accumulate across calls on different graphs.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward already ran on this loss; rebuild the graph first")
-    loss._backward_done = True
     if not loss.requires_grad:
         return
     order = _toposort(loss)
+    if any(node._grad_fn is _released for node in order):
+        _released(loss.grad)  # raises before any gradient moves
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(order):
-        # a node no contribution reached (a softmax that cross_entropy
-        # bypasses) has no gradient to pass on
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
-    for node in order:
-        # leaf gradients are where every chain ends; a NaN anywhere upstream
-        # lands here, so checking leaves covers the whole pass
-        if node._grad_fn is None and node.grad is not None:
-            _check_finite(node.grad, "backward")
+    while order:
+        node = order.pop()  # after every node it feeds: its gradient is whole
+        grad_fn = node._grad_fn
+        if grad_fn is None:
+            # leaf gradients are where every chain ends; a NaN anywhere
+            # upstream lands here, so checking leaves covers the whole pass
+            if node.grad is not None:
+                _check_finite(node.grad, "backward")
+            continue
+        node._grad_fn, node._parents = _released, ()
+        if node.grad is not None:  # a softmax that cross_entropy bypasses has none
+            grad_fn(node.grad)

@@ -51,6 +51,15 @@ class TestExtract:
                       "--out-dir", str(synth_dir / "x"))
         assert code == 1
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_on_an_existing_file_is_exit_1(self, synth_dir, capsys, below):
+        # the directory path is the manifest itself, or runs through it
+        manifest = synth_dir / "manifest.jsonl"
+        code, _ = run(capsys, "extract", "--manifest", str(manifest),
+                      "--out-dir", str(manifest / below if below else manifest))
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def ckpt(synth_dir, tmp_path_factory):
@@ -285,3 +294,12 @@ class TestGradcheckCommand:
             assert f"model/loss {mode} " in out
         assert "FAIL" not in out
         assert "matmul/a" in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-2", "abc"])
+    def test_seed_count_below_one_is_exit_1(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--seeds", seeds])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"expected a count of at least 1, got '{seeds}'" in err
+        assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ class TestGraphSize:
         counts = {b: op_nodes(samples[:b]) for b in (1, 2, 13, 32)}
         assert counts[2] == counts[13] == counts[32], counts
         assert counts[1] <= counts[2], counts
+
+
+class TestBackwardMemory:
+    def test_backward_peak_stays_near_the_forward_graph(self):
+        # a train-word batch: 32 utterances of 8-24 words, 20 frames a word,
+        # ~10,000 packed CNN columns
+        rng = np.random.default_rng(5)
+        words = rng.integers(8, 25, size=32)
+        samples = [make_sample(rng, n_frames=20 * int(w), n_words=int(w), label=i % 4,
+                               rid=f"s{i}") for i, w in enumerate(words)]
+        params = M.init_params(seed=0)
+        tracemalloc.start()
+        try:
+            loss = M.loss(samples, params, "tempalign-cme")
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * held, (peak / 1e6, held / 1e6)
 
 
 class TestModelGradient:

@@ -1,6 +1,7 @@
 """Tests for the tensor core: forward values, error handling, backward."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,30 @@ class TestConv1dSame:
         with pytest.raises(DimensionError):
             T.conv1d_same(T.Tensor(np.zeros((3, 4))),
                           T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("k", [2, 10, 20])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+37"])
+    def test_column_blocks_match_a_per_tap_loop(self, f64, k, extra):
+        # n sits on either side of one and two block boundaries
+        n = 2 * T.CONV_BLOCK + 37 if extra == "2B+37" else T.CONV_BLOCK + extra
+        rng = np.random.default_rng(k)
+        x, w, b = rng.standard_normal((3, n)), rng.standard_normal((4, 3, k)), rng.standard_normal(4)
+        weigh = rng.standard_normal((4, n))
+        args = [T.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = T.conv1d_same(*args)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
+
+        left = (k - 1) // 2
+        xp = np.zeros((3, n + k - 1))
+        xp[:, left:left + n] = x
+        want, want_gw, want_gxp = np.zeros((4, n)) + b[:, None], np.zeros_like(w), np.zeros_like(xp)
+        for j in range(k):
+            want += w[:, :, j] @ xp[:, j:j + n]
+            want_gw[:, :, j] = weigh @ xp[:, j:j + n].T
+            want_gxp[:, j:j + n] += w[:, :, j].T @ weigh
+        for got, ref in ((out.data, want), (args[0].grad, want_gxp[:, left:left + n]),
+                         (args[1].grad, want_gw), (args[2].grad, weigh.sum(axis=1))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestElementwise:
@@ -276,6 +301,28 @@ class TestBackward:
         T.backward(loss)
         with pytest.raises(RuntimeError):
             T.backward(loss)
+
+    def test_second_backward_through_a_shared_node_raises(self, f64):
+        # mid keeps its first gradient; pushing it through again would
+        # double-count it in x (0.978 where the true total is 0.733)
+        x = T.Tensor([[0.3]], requires_grad=True)
+        mid = T.sigmoid(x)
+        T.backward(T.sum_all(mid))
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            T.backward(T.sum_all(T.hadamard(mid, T.Tensor([[2.0]]))))
+        np.testing.assert_array_equal(x.grad, first)
+        np.testing.assert_array_equal(mid.grad, [[1.0]])
+
+    def test_backward_frees_what_the_caller_does_not_hold(self, f64):
+        x = T.Tensor(np.random.default_rng(3).standard_normal((3, 4)), requires_grad=True)
+        mid = T.sigmoid(T.hadamard(x, x))
+        activation = weakref.ref(mid.data)
+        loss = T.sum_all(T.tanh(mid))
+        del mid
+        T.backward(loss)
+        assert activation() is None
+        assert loss.grad is not None and x.grad is not None
 
     def test_gradients_accumulate_across_graphs(self, f64):
         x = T.Tensor(np.ones((2, 2)), requires_grad=True)
