@@ -103,7 +103,7 @@ def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
     its utterance alone."""
     cols, words, weights, n_words = [], [], [], 0
     for a, start in zip(alignments, starts, strict=True):
-        mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a, dtype=np.float64)
+        mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)
         if z.data.ndim != 2 or mat.ndim != 2 or start + mat.shape[0] > z.shape[1]:
             raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment "
                                  f"{mat.shape} from column {start}")

@@ -109,6 +109,18 @@ def _conv1d_same(rng: np.random.Generator, arg: str, n: int | None = None):
                   lambda x, filters, bias: T.sum_all(T.sigmoid(T.conv1d_same(x, filters, bias))))
 
 
+def _conv_relu_stack(rng: np.random.Generator, arg: str):
+    """Two layers over 9 columns, of which keep drops columns 3 and 6."""
+    cin, mid, cout, n = _dim(rng), _dim(rng), _dim(rng), 9
+    keep, weigh = np.ones(n), T.Tensor(rng.standard_normal((mid + cout, n)))
+    keep[[3, 6]] = 0.0
+    operands = {"x": rng.standard_normal((cin, n)), "w1": rng.standard_normal((mid, cin, 3)),
+                "b1": rng.standard_normal(mid), "w2": rng.standard_normal((cout, mid, 2)),
+                "b2": rng.standard_normal(cout)}
+    return _probe(operands, arg, lambda x, w1, b1, w2, b2: T.sum_all(T.hadamard(
+        T.conv_relu_stack(x, [(w1, b1), (w2, b2)], keep), weigh)))
+
+
 def _linear(rng: np.random.Generator, arg: str):
     d_in, d_out, m = _dim(rng), _dim(rng), _dim(rng)
     operands = {"x": rng.standard_normal((d_in, m)), "weight": rng.standard_normal((d_out, d_in)),
@@ -163,6 +175,8 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     **{f"conv1d_same/{arg}": partial(_conv1d_same, arg=arg) for arg in ("x", "filters", "bias")},
     "conv1d_same/x n=1": partial(_conv1d_same, arg="x", n=1),
     "conv1d_same/x n<k": partial(_conv1d_same, arg="x", n=2),
+    **{f"conv_relu_stack/{arg}": partial(_conv_relu_stack, arg=arg)
+       for arg in ("x", "w1", "b1", "w2", "b2")},
     **{f"linear/{arg}": partial(_linear, arg=arg) for arg in ("x", "weight", "bias")},
     "add_bias/bias": _add_bias,
     "sigmoid": lambda rng: _on_matrix(rng, T.sigmoid),

@@ -177,13 +177,13 @@ def acoustic_encode_batch(features: Sequence[np.ndarray],
     """34×n_b feature arrays, one per utterance -> the batch's packed 128×N
     embedding, and the column where each utterance starts.
 
-    Three stacked 1-d conv layers with relu; each output concatenates all
-    three layer outputs (64 + 32 + 32 rows). The batch runs as one matrix,
-    packed in the tensor dtype: max(CNN_KERNELS)//2 zero columns, which no
-    kernel can reach across, sit between neighbours, so each layer is one
-    conv. If there are gaps, a constant 0/1 column mask re-zeroes them
-    after each layer that feeds another; the outer ends need no gap, as
-    the conv pads them with zeros itself.
+    Three stacked 1-d conv layers with relu, one ``conv_relu_stack`` whose
+    output stacks all three layer outputs (64 + 32 + 32 rows). The batch
+    runs as one matrix, packed in the tensor dtype: max(CNN_KERNELS)//2
+    zero columns, which no kernel can reach across, sit between
+    neighbours, so each layer is one conv. A 0/1 column mask re-zeroes the
+    gaps after each layer that feeds another; nothing reads them after.
+    The outer ends need no gap, as the conv pads them with zeros itself.
     """
     gap = max(CNN_KERNELS) // 2
     widths = [x.shape[1] for x in features]
@@ -193,15 +193,9 @@ def acoustic_encode_batch(features: Sequence[np.ndarray],
     for x, start, width in zip(features, starts, widths):
         packed[:, start:start + width] = x
         keep[start:start + width] = 1.0
-    h = T.Tensor(packed)
-    layers = []
-    for w, b in ((params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
-                 (params.conv3_w, params.conv3_b)):
-        if layers and len(features) > 1:
-            h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
-        h = T.relu(T.conv1d_same(h, w, b))
-        layers.append(h)
-    return T.concat_rows(*layers), starts
+    layers = [(params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
+              (params.conv3_w, params.conv3_b)]
+    return T.conv_relu_stack(T.Tensor(packed), layers, keep), starts
 
 
 def acoustic_encode(features: np.ndarray, params: ModelParams) -> T.Tensor:

@@ -5,12 +5,13 @@ result eagerly with numpy and, when any input requires gradients, attaches
 a closure that pushes the output gradient back to its parents. ``backward``
 walks the resulting graph once, in reverse topological order.
 
-Besides the generic algebra, two fused ops carry the model's hot loops:
+Besides the generic algebra, three fused ops carry the model's hot loops:
 ``conv1d_same`` is im2col matmuls over blocks of ``CONV_BLOCK`` columns,
-forward and (as a transposed conv) backward, and ``lstm`` runs a whole
-LSTM direction (every step's gates and cell update) over sequences packed
-one after another, with a hand-written backpropagation through time, fed
-by an input projection computed once for all steps.
+forward and (as a transposed conv) backward; ``conv_relu_stack`` runs
+relu(conv) layers on them into one stacked output; and ``lstm`` runs a
+whole LSTM direction (every step's gates and cell update) over sequences
+packed one after another, with a hand-written backpropagation through
+time, fed by an input projection computed once for all steps.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
@@ -48,6 +49,7 @@ __all__ = [
     "matmul",
     "linear",
     "conv1d_same",
+    "conv_relu_stack",
     "sigmoid",
     "tanh",
     "relu",
@@ -217,65 +219,113 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _result(out_data, (x, weight, bias), grad_fn, "linear")
 
 
+def _conv_forward(x: np.ndarray, filters: Tensor, bias: Tensor, op: str,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """conv1d_same(x, filters, bias), written into out [cout×n] if given."""
+    cin, n = x.shape
+    if (filters.data.ndim != 3 or min(cin, n, *filters.shape) < 1 or filters.shape[1] != cin
+            or bias.data.ndim != 1 or bias.shape[0] != filters.shape[0]):
+        raise DimensionError(f"{op}: x {x.shape}, filters {filters.shape} and bias "
+                             f"{bias.shape} do not fit (all dims positive)")
+    cout, cin, k = filters.shape
+    if out is None:
+        out = np.empty((cout, n), np.result_type(x, filters.data, bias.data))
+    w2 = filters.data.reshape(cout, cin * k)
+    for start, stop, cols in _im2col_blocks(x, k, (k - 1) // 2):
+        out[:, start:stop] = w2 @ cols
+    out += bias.data[:, None]
+    return out
+
+
+def _conv_backward(x: np.ndarray, filters: Tensor, bias: Tensor, g: np.ndarray,
+                   g_x: np.ndarray | None) -> None:
+    """Accumulate the filter and bias gradients of conv1d_same(x, filters,
+    bias) for the output gradient g, and add x's gradient into g_x if given."""
+    cout, cin, k = filters.shape
+    pad_left = (k - 1) // 2
+    if filters.requires_grad:
+        # the blocks are rebuilt here rather than kept from the forward
+        # pass, which would hold a [cin·k × n] copy as long as the graph
+        g_w = np.zeros((cout, cin * k), dtype=g.dtype)
+        for start, stop, cols in _im2col_blocks(x, k, pad_left):
+            g_w += g[:, start:stop] @ cols.T
+        _accumulate(filters, g_w.reshape(cout, cin, k))
+    if bias.requires_grad:
+        _accumulate(bias, g.sum(axis=1))
+    if g_x is not None:
+        # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
+        # with g padded by the mirrored amounts
+        w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+        for start, stop, cols in _im2col_blocks(g, k, k - 1 - pad_left):
+            g_x[:, start:stop] += w_flip @ cols
+
+
 def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over x [cin×n] with stride 1 and zero padding that
     preserves the sequence length (pad_left = (k−1)//2, pad_right = k//2).
     Every product unrolls ``CONV_BLOCK`` columns at a time (im2col), so no
     [cin·k × n] copy of the whole input is ever made."""
     _need_2d(x, "conv1d_same")
-    if filters.data.ndim != 3:
-        raise DimensionError(f"conv1d_same filters must be [cout×cin×k], got {filters.shape}")
-    cin, n = x.shape
-    cout, f_cin, k = filters.shape
-    if cin < 1 or n < 1 or k < 1 or cout < 1:
-        raise DimensionError(f"conv1d_same dims must be positive: x {x.shape}, filters {filters.shape}")
-    if f_cin != cin:
-        raise DimensionError(f"conv1d_same channel mismatch: x {x.shape}, filters {filters.shape}")
-    if bias.data.ndim != 1 or bias.shape[0] != cout:
-        raise DimensionError(f"conv1d_same bias shape {bias.shape} does not match cout {cout}")
-
-    pad_left = (k - 1) // 2
-    w2 = filters.data.reshape(cout, cin * k)
-    out_data = np.empty((cout, n), dtype=np.result_type(w2, x.data, bias.data))
-    for start, stop, cols in _im2col_blocks(x.data, k, pad_left):
-        out_data[:, start:stop] = w2 @ cols
-    out_data += bias.data[:, None]
+    out_data = _conv_forward(x.data, filters, bias, "conv1d_same")
 
     def grad_fn(g: np.ndarray) -> None:
-        if filters.requires_grad:
-            # the blocks are rebuilt here rather than kept from the forward
-            # pass, which would hold a [cin·k × n] copy as long as the graph
-            g_w = np.zeros((cout, cin * k), dtype=g.dtype)
-            for start, stop, cols in _im2col_blocks(x.data, k, pad_left):
-                g_w += g[:, start:stop] @ cols.T
-            _accumulate(filters, g_w.reshape(cout, cin, k))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=1))
-        if x.requires_grad:
-            # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
-            # with g padded by the mirrored amounts
-            w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
-            g_x = np.empty((cin, n), dtype=g.dtype)
-            for start, stop, cols in _im2col_blocks(g, k, k - 1 - pad_left):
-                g_x[:, start:stop] = w_flip @ cols
-            _accumulate(x, g_x)
+        _conv_backward(x.data, filters, bias, g, _grad_buffer(x) if x.requires_grad else None)
 
     return _result(out_data, (x, filters, bias), grad_fn, "conv1d_same")
+
+
+def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
+                    keep: np.ndarray) -> Tensor:
+    """relu(conv1d_same) layers, each (filters, bias), in turn over x [cin×n]:
+    each writes its rows of one [Σ cout × n] result and reads the rows of
+    the layer before. keep, a 0/1 weight per column, zeroes the dropped
+    columns of every layer but the last. The graph holds only x and the
+    result: the backward reads each layer's input and relu mask off them
+    and overwrites the output gradient in place."""
+    _need_2d(x, "conv_relu_stack")
+    if np.shape(keep) != (x.shape[1],):
+        raise DimensionError(f"conv_relu_stack keep {np.shape(keep)} does not fit x {x.shape}")
+    weights = tuple(t for layer in layers for t in layer)
+    rows = np.cumsum([0] + [bias.data.size for _, bias in layers])  # cout, once checked
+    out_data = np.empty((rows[-1], x.shape[1]), np.result_type(x.data, *(t.data for t in weights)))
+    blocks = [out_data[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
+    inputs = [x.data] + blocks
+    for (filters, bias), h, src in zip(layers, blocks, inputs):
+        _conv_forward(src, filters, bias, "conv_relu_stack", h)
+        _check_finite(h, "conv_relu_stack")  # before relu can hide a −inf
+        np.maximum(h, 0.0, out=h)
+        if h is not blocks[-1]:
+            h *= keep
+
+    def grad_fn(g: np.ndarray) -> None:
+        g_blocks = [g[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
+        g_inputs = [_grad_buffer(x) if x.requires_grad else None] + g_blocks
+        for i in reversed(range(len(layers))):
+            # whole now: the layer after has added its input gradient in place
+            if i < len(layers) - 1:
+                g_blocks[i] *= keep
+            g_blocks[i] *= blocks[i] > 0
+            _conv_backward(inputs[i], *layers[i], g_blocks[i], g_inputs[i])
+
+    return _result(out_data, (x, *weights), grad_fn, "conv_relu_stack")
 
 
 def _im2col_blocks(a: np.ndarray, k: int, left: int):
     """Yield (start, stop, cols) per block of CONV_BLOCK columns of a [c×n]:
     cols[c·k + j, t] = a[c, start + t + j − left], zero outside a, in one
-    buffer that the next block overwrites."""
+    buffer that the next block overwrites; only the edge blocks pad."""
     c, n = a.shape
-    padded = np.zeros((c, n + k - 1), dtype=a.dtype)
-    padded[:, left:left + n] = a
-    s0, s1 = padded.strides
     cols = np.empty((c, k, min(n, CONV_BLOCK)), dtype=a.dtype)
     for start in range(0, n, CONV_BLOCK):
         width = min(CONV_BLOCK, n - start)
-        cols[:, :, :width] = np.lib.stride_tricks.as_strided(padded[:, start:], (c, k, width),
-                                                             (s0, s1, s1))
+        lo, hi = start - left, start + width + k - 1 - left  # the columns of a it reads
+        if lo < 0 or hi > n:
+            window = np.zeros((c, hi - lo), dtype=a.dtype)
+            window[:, max(0, -lo):min(hi, n) - lo] = a[:, max(0, lo):min(hi, n)]
+        else:
+            window = a[:, lo:hi]
+        s0, s1 = window.strides
+        cols[:, :, :width] = np.lib.stride_tricks.as_strided(window, (c, k, width), (s0, s1, s1))
         yield start, start + width, cols.reshape(c * k, -1)[:, :width]
 
 
@@ -434,22 +484,24 @@ def _gather_sum(src: np.ndarray, targets: np.ndarray, sources: np.ndarray,
                 weights: np.ndarray, n_out: int) -> np.ndarray:
     """[d × n_out]: column t sums weights[e]·src[:, sources[e]] over the
     entries e with targets[e] = t, in entry order. The k-th entry of every
-    target is gathered at once (a zero column pads targets with fewer); the
-    loop is over k."""
+    target is gathered at once (weight 0 pads targets with fewer); the
+    first lands in the output itself, and the loop over k adds the others."""
     order = np.argsort(targets, kind="stable")
     targets, sources, weights = targets[order], sources[order], weights[order]
     counts = np.bincount(targets, minlength=n_out)
+    if not targets.size:
+        return np.zeros((src.shape[0], n_out), dtype=src.dtype)
     offset = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.full((int(counts.max(initial=0)), n_out), src.shape[1])
+    index = np.zeros((int(counts.max()), n_out), dtype=np.int64)
     index[offset, targets] = sources
     scale = np.zeros(index.shape, dtype=src.dtype)
     scale[offset, targets] = weights
-    padded = np.concatenate([src, np.zeros((src.shape[0], 1), dtype=src.dtype)], axis=1)
-    gathered = np.take(padded, index, axis=1)  # [d × depth × n_out], C order
-    gathered *= scale
-    out = np.zeros((src.shape[0], n_out), dtype=src.dtype)
-    for k in range(index.shape[0]):
-        out += gathered[:, k]
+    out = np.take(src, index[0], axis=1)
+    out *= scale[0]
+    rest = np.take(src, index[1:], axis=1)  # [d × depth − 1 × n_out], C order
+    rest *= scale[1:]
+    for k in range(rest.shape[1]):
+        out += rest[:, k]
     return out
 
 

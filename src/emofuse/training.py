@@ -227,9 +227,13 @@ def feature_stats(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
                 stats: tuple[np.ndarray, np.ndarray] | None,
                 features: Sequence[np.ndarray]) -> list[PreparedSample]:
-    """Model-ready samples; features[i] belongs to records[i]."""
-    return [prepare_record(r, table, stats=stats, features=f)
-            for r, f in zip(records, features, strict=True)]
+    """Model-ready samples; features[i] belongs to records[i]. Features and
+    alignments take the tensor dtype; token vectors stay float64."""
+    dtype = T.default_dtype()
+    samples = (prepare_record(r, table, stats=stats, features=f)
+               for r, f in zip(records, features, strict=True))
+    return [dataclasses.replace(s, features=s.features.astype(dtype, copy=False),
+                                alignment=s.alignment.astype(dtype, copy=False)) for s in samples]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +258,8 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
     mode = M.FusionMode.parse(config.fusion_mode)
     raw = gather_features(records, feature_cache)
     stats = feature_stats(raw)
-
     prepared = prepare_all(records, table, stats, raw)
+    del raw  # without a feature cache, the last reference to the raw features
     params = M.init_params(config.seed)
     state = AdamState(params)
     shuffle_rng = np.random.default_rng(config.seed + 1)
@@ -271,7 +275,6 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
                 value = batch_loss.item()
                 if not math.isfinite(value):
                     raise FloatingPointError("loss is not finite")
-                params.zero_grad()
                 T.backward(batch_loss)
             except FloatingPointError as exc:
                 raise DivergenceError(
@@ -279,6 +282,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
                 ) from exc
             norms.append(clip_gradients(params, config.clip_norm))
             adam_step(params, state, config)
+            params.zero_grad()  # before the next forward, and none on the returned model
             epoch_total += value
         curve.append(epoch_total / len(prepared))
         clipped = sum(0 < config.clip_norm < norm for norm in norms)

@@ -220,6 +220,23 @@ class TestGraphSize:
         assert counts[1] <= counts[2], counts
 
 
+class TestAcousticMemory:
+    def test_the_cnn_holds_its_input_and_one_stacked_output(self):
+        # 34 input rows + 128 stacked output rows per packed column; three
+        # separate layers, their relu outputs, gap masks and a concat hold 514
+        rng = np.random.default_rng(6)
+        features = [rng.standard_normal((34, 20 * int(w))) for w in rng.integers(8, 25, size=32)]
+        params = M.init_params(seed=0)
+        tracemalloc.start()
+        try:
+            acoustic, _ = M.acoustic_encode_batch(features, params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert acoustic.shape[1] > 2 * T.CONV_BLOCK
+        assert held <= 170 * 4 * acoustic.shape[1], held / (4 * acoustic.shape[1])
+
+
 class TestBackwardMemory:
     def test_backward_peak_stays_near_the_forward_graph(self):
         # a train-word batch: 32 utterances of 8-24 words, 20 frames a word,

@@ -103,6 +103,80 @@ class TestConv1dSame:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestConvReluStack:
+    @staticmethod
+    def _operands(rng, n, cin=5, couts=(6, 4, 3), kernels=(20, 10, 2)):
+        x = rng.standard_normal((cin, n))
+        layers = []
+        for cout, k in zip(couts, kernels):
+            layers.append((rng.standard_normal((cout, cin, k)) / np.sqrt(cin * k),
+                           0.1 * rng.standard_normal(cout)))
+            cin = cout
+        return x, layers
+
+    @staticmethod
+    def _run(x, layers, keep, weigh, fused):
+        """Output and every gradient of sum(weigh ⊙ stack), built fused or
+        from conv1d_same, relu, a mask hadamard and concat_rows; with no
+        keep, the fused op gets all ones and the composed one no mask."""
+        xt = T.Tensor(x, requires_grad=True)
+        lt = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in layers]
+        if fused:
+            out = T.conv_relu_stack(xt, lt, np.ones(x.shape[1]) if keep is None else keep)
+        else:
+            h, outs = xt, []
+            for i, (w, b) in enumerate(lt):
+                h = T.relu(T.conv1d_same(h, w, b))
+                if keep is not None and i < len(lt) - 1:
+                    h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
+                outs.append(h)
+            out = T.concat_rows(*outs)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
+        return [out.data, xt.grad] + [t.grad for pair in lt for t in pair]
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2037])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_the_composed_ops_bit_for_bit(self, bits, n, masked):
+        # n sits on either side of one and two column-block boundaries; the
+        # gaps are 10 columns wide, as between packed utterances, and one
+        # straddles the first block boundary
+        rng = np.random.default_rng(n)
+        with T.precision(bits):
+            x, layers = self._operands(rng, n)
+            keep = None
+            if masked:
+                keep = np.ones(n, dtype=T.default_dtype())
+                for lo in (0, 300, 995, 1700):
+                    keep[lo + 4:lo + 14] = 0.0
+            weigh = rng.standard_normal((13, n))
+            fused = self._run(x, layers, keep, weigh, fused=True)
+            composed = self._run(x, layers, keep, weigh, fused=False)
+        for got, want in zip(fused, composed, strict=True):
+            assert got.dtype == want.dtype == (np.float32 if bits == 32 else np.float64)
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_with_a_gap_mask_matches_finite_differences(self):
+        from emofuse.gradcheck import OP_TOLERANCE, _op_cases, grad_check
+        with T.precision(64):
+            cases = [(seed, name, f, x) for seed in range(5) for name, f, x in _op_cases(seed)
+                     if name.startswith("conv_relu_stack/")]
+            assert len(cases) == 25  # x and both layers' filters and biases
+            for seed, name, f, x in cases:
+                assert grad_check(f, x) <= OP_TOLERANCE, (seed, name)
+
+    def test_shape_errors(self):
+        x = T.Tensor(np.zeros((3, 8)))
+        layer = (T.Tensor(np.zeros((4, 3, 2))), T.Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError, match="keep"):
+            T.conv_relu_stack(x, [layer], np.ones(7))
+        with pytest.raises(DimensionError, match=r"\(4, 3, 2\)"):
+            T.conv_relu_stack(x, [layer, layer], np.ones(8))  # the second layer reads 4 rows, not 3
+        for filters in (np.zeros(()), np.zeros((4, 3))):
+            with pytest.raises(DimensionError):
+                T.conv_relu_stack(x, [(T.Tensor(filters), layer[1])], np.ones(8))
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(T.Tensor([[0.0]])).data[0, 0] == 0.5

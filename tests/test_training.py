@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+import emofuse.tensor as T
 from emofuse import data, model, training
 from emofuse.errors import DivergenceError, InputError
 
@@ -244,6 +245,38 @@ class TestTrainFold:
         checkpoint, _ = training.train_fold(records, config, table)
         assert checkpoint.feature_mean.shape == (34,)
         assert np.all(checkpoint.feature_std >= 1e-8)
+
+    @pytest.mark.parametrize("mode", [m.value for m in model.FusionMode])
+    def test_returned_parameters_hold_no_gradients(self, sanity_set, mode):
+        records, table = sanity_set
+        config = training.TrainConfig(epochs=1, batch_size=4, fusion_mode=mode)
+        checkpoint, _ = training.train_fold(records, config, table)
+        assert [name for name, t in checkpoint.params.named() if t.grad is not None] == []
+
+    def test_no_gradient_is_alive_during_a_forward(self, sanity_set, monkeypatch):
+        records, table = sanity_set
+        seen = []
+        forward = model.forward_batch
+
+        def spy(samples, params, mode):
+            seen.append(sum(t.grad is not None for t in params.tensors()))
+            return forward(samples, params, mode)
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        training.train_fold(records, training.TrainConfig(epochs=2, batch_size=4), table)
+        assert seen == [0] * 4
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_prepared_samples_take_the_tensor_dtype(self, sanity_set, bits):
+        records, table = sanity_set
+        raw = training.gather_features(records)
+        with T.precision(bits):
+            prepared = training.prepare_all(records, table, training.feature_stats(raw), raw)
+        want = np.float32 if bits == 32 else np.float64
+        for sample, features in zip(prepared, raw, strict=True):
+            assert sample.features.dtype == sample.alignment.dtype == want
+            assert sample.token_vectors.dtype == np.float64
+            assert sample.features.shape == features.shape
 
     def test_epoch_log_reports_gradient_norm_and_clip_rate(self, sanity_set, caplog):
         records, table = sanity_set
