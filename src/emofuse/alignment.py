@@ -4,7 +4,9 @@ Word time spans come from an external forced aligner and are consumed as
 input. ``build_alignment`` turns them into a binary block-diagonal matrix
 mapping the n frames of an utterance onto its m words; multiplying the
 frame-level embedding by that matrix pools each word's frames into one
-column.
+column. The spans are sorted and disjoint, so each frame belongs to at most
+one word and each word's frames form one contiguous block by construction;
+``AlignmentMatrix`` checks only that every entry is 0 or 1.
 """
 
 from __future__ import annotations
@@ -47,20 +49,6 @@ class AlignmentMatrix:
         # every nonzero entry (NaN included) must be a 1
         if np.count_nonzero(self.matrix) != np.count_nonzero(self.matrix == 1.0):
             raise InputError("alignment matrix entries must be 0 or 1")
-
-    @property
-    def n_frames(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_words(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass
-class AlignmentDiagnostics:
-    unassigned_frames: int
-    empty_words: int
 
 
 def check_spans(spans: Sequence[WordSpan]) -> None:
@@ -123,29 +111,3 @@ def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray) -> T.Tenso
     if z.data.ndim != 2 or z.shape[1] != n:
         raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment with {n} frames")
     return pool_words(z, [a], [0])
-
-
-def validate_alignment(a: AlignmentMatrix) -> AlignmentDiagnostics:
-    """Count silence frames and empty words; reject non-block structure.
-
-    A valid matrix has at most one 1 per row, one contiguous row block per
-    nonzero column, and blocks ordered left to right with word order.
-    """
-    mat = a.matrix
-    row_sums = mat.sum(axis=1)
-    if np.any(row_sums > 1):
-        raise InputError("a frame is assigned to more than one word")
-    last_end = -1
-    for j in range(mat.shape[1]):
-        rows = np.flatnonzero(mat[:, j])
-        if rows.size == 0:
-            continue
-        if rows[-1] - rows[0] + 1 != rows.size:
-            raise InputError(f"word column {j} has a non-contiguous frame block")
-        if rows[0] <= last_end:
-            raise InputError(f"word column {j} overlaps or precedes an earlier block")
-        last_end = rows[-1]
-    return AlignmentDiagnostics(
-        unassigned_frames=int((row_sums == 0).sum()),
-        empty_words=int((mat.sum(axis=0) == 0).sum()),
-    )

@@ -405,6 +405,8 @@ def synth_dataset(out_dir, n_per_class: int, seed: int = 0) -> SynthDataset:
     """
     if n_per_class < 1:
         raise InputError(f"n_per_class must be >= 1, got {n_per_class}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)

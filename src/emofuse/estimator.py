@@ -1,18 +1,99 @@
-"""Scikit-learn-style estimators wrapping the training pipeline."""
+"""Scikit-learn-style estimators wrapping the training pipeline, and their
+input validation.
+
+``ParamsMixin`` implements the scikit-learn get_params/set_params protocol
+from the constructor signature, so the estimators clone and grid-search
+with sklearn tooling without this package depending on it.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
+from typing import Sequence
 
 import numpy as np
 
 from . import model as M
 from . import training
-from .base import (ParamsMixin, check_is_fitted, check_labels, check_records,
-                   ensure_embedding_table)
-from .data import EMOTIONS
+from .data import EMOTIONS, EmbeddingTable, UtteranceRecord, check_label, load_embeddings
 from .dsp import AudioClip, read_wav, utterance_features
 from .errors import InputError
+
+
+class ParamsMixin:
+    """get_params/set_params/repr derived from the __init__ signature.
+
+    Subclasses must store every constructor argument verbatim under the
+    same attribute name (the sklearn convention).
+    """
+
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        signature = inspect.signature(cls.__init__)
+        return [name for name, p in signature.parameters.items()
+                if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {name: getattr(self, name) for name in self._param_names()}
+
+    def set_params(self, **params):
+        valid = set(self._param_names())
+        for name, value in params.items():
+            if name not in valid:
+                raise InputError(
+                    f"invalid parameter {name!r} for {type(self).__name__}; "
+                    f"valid parameters are {sorted(valid)}")
+            setattr(self, name, value)
+        return self
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"
+
+
+def check_records(records) -> list[UtteranceRecord]:
+    """A nonempty sequence of UtteranceRecord, returned as a list."""
+    if records is None:
+        raise InputError("records must not be None")
+    records = list(records)
+    if not records:
+        raise InputError("need at least one utterance record")
+    for r in records:
+        if not isinstance(r, UtteranceRecord):
+            raise InputError(f"expected UtteranceRecord items, got {type(r).__name__}")
+    return records
+
+
+def check_labels(records: Sequence[UtteranceRecord], y) -> list[int]:
+    """Labels from y if given (overriding the records), else from the records;
+    each follows ``check_label``."""
+    if y is None:
+        return [r.label for r in records]
+    try:
+        values = list(y)
+    except TypeError:
+        raise InputError(f"y must be a sequence of labels, got {type(y).__name__}") from None
+    labels = [check_label(v) for v in values]
+    if len(labels) != len(records):
+        raise InputError(f"y has {len(labels)} labels for {len(records)} records")
+    return labels
+
+
+def ensure_embedding_table(embeddings) -> EmbeddingTable:
+    """Accept an EmbeddingTable or a path to an embedding text file."""
+    if embeddings is None:
+        raise InputError("an embedding table (or a path to one) is required; "
+                         "pass embeddings= to the estimator")
+    if isinstance(embeddings, EmbeddingTable):
+        return embeddings
+    return load_embeddings(embeddings)
+
+
+def check_is_fitted(estimator, attribute: str) -> None:
+    if not hasattr(estimator, attribute):
+        raise InputError(
+            f"this {type(estimator).__name__} instance is not fitted yet; call fit first")
 
 
 class EmotionRecognizer(ParamsMixin):
@@ -120,10 +201,11 @@ class LowLevelFeatureExtractor(ParamsMixin):
         return self
 
     def transform(self, X) -> list[np.ndarray]:
-        if X is None or not list(X):
+        items = [] if X is None else list(X)  # once: X may be an iterator
+        if not items:
             raise InputError("need at least one clip or path")
         out = []
-        for item in X:
+        for item in items:
             clip = item if isinstance(item, AudioClip) else read_wav(item)
             out.append(utterance_features(clip).features)
         return out

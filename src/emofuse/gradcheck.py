@@ -190,7 +190,8 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
         rng, lambda x: T.sigmoid(T.slice_rows(x, 0, x.shape[0] - 1)), min_rows=2),
     "slice_cols": lambda rng: _on_matrix(
         rng, lambda x: T.sigmoid(T.slice_cols(x, 1, x.shape[1])), min_cols=2),
-    "mean_cols": lambda rng: _on_matrix(rng, lambda x: T.sigmoid(T.mean_cols(x))),
+    "mean_cols": lambda rng: _on_matrix(
+        rng, lambda x: T.sigmoid(T.mean_cols(x, [(0, x.shape[1])]))),
     "mean_cols spans": lambda rng: _on_matrix(  # a gap, an overlap, a single column
         rng, lambda x: T.sigmoid(T.mean_cols(x, [(0, 2), (3, 7), (5, 8), (8, 9)])), min_cols=9),
     "pool_cols": lambda rng: _on_matrix(  # columns pooled twice or not at all; group 2 empty

@@ -140,10 +140,6 @@ class ModelParams:
         return cls(**{name: T.Tensor(arr, requires_grad=requires_grad)
                       for name, arr in arrays.items()})
 
-    @classmethod
-    def zeros(cls) -> "ModelParams":
-        return cls.from_arrays({name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()})
-
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     if len(shape) == 3:  # conv filters: fan counts include the kernel width

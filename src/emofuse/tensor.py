@@ -452,11 +452,11 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop], (x,), grad_fn, "slice_cols")
 
 
-def mean_cols(x: Tensor, spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+def mean_cols(x: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
     """Column b of the [d × len(spans)] result is the mean of the columns
-    spans[b][0] .. spans[b][1] − 1 of x [d×m]; one span covers all by default."""
+    spans[b][0] .. spans[b][1] − 1 of x [d×m]."""
     _need_2d(x, "mean_cols")
-    spans = [(0, x.shape[1])] if spans is None else [(int(lo), int(hi)) for lo, hi in spans]
+    spans = [(int(lo), int(hi)) for lo, hi in spans]
     if not spans or any(not 0 <= lo < hi <= x.shape[1] for lo, hi in spans):
         raise ValueError(f"mean_cols: spans {spans} do not fit shape {x.shape}")
     out_data = np.empty((x.shape[0], len(spans)), dtype=x.data.dtype)

@@ -20,6 +20,8 @@ from .errors import DivergenceError, InputError
 
 logger = logging.getLogger(__name__)
 
+PREDICT_BATCH = 32  # utterances per forward pass in predict and evaluate
+
 # value kinds accepted per annotated field type; numpy scalars count too
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
@@ -54,6 +56,8 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.clip_norm < 0:
             raise InputError(f"clip_norm must be >= 0 (0 disables), got {self.clip_norm}")
         M.FusionMode.parse(self.fusion_mode)
@@ -289,6 +293,10 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
         logger.debug("epoch %d/%d mean loss %.6f, max pre-clip gradient norm %.4g, "
                      "clip rate %.2f", epoch + 1, config.epochs, curve[-1], max(norms),
                      clipped / len(norms))
+    # the next forward checks each update, so only the last can pass unseen
+    for name, tensor in params.named():
+        if not np.all(np.isfinite(tensor.data)):
+            raise DivergenceError(f"training diverged: the last update made {name} non-finite")
 
     checkpoint = M.Checkpoint(
         params=params,
@@ -302,7 +310,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
 def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
             table: EmbeddingTable,
             feature_cache: dict[tuple, np.ndarray] | None = None,
-            batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, probabilities [N × 4]) for records under a trained checkpoint.
 
     Ties in the argmax go to the lowest class index.
@@ -312,8 +320,8 @@ def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
     raw = gather_features(records, feature_cache)
     prepared = prepare_all(records, table, checkpoint.stats(), raw)
     probs = np.empty((len(prepared), M.N_CLASSES))
-    for start in range(0, len(prepared), batch_size):
-        chunk = prepared[start:start + batch_size]
+    for start in range(0, len(prepared), PREDICT_BATCH):
+        chunk = prepared[start:start + PREDICT_BATCH]
         out = M.forward_batch(chunk, checkpoint.params, checkpoint.fusion_mode)
         probs[start:start + len(chunk)] = out.data.T
     return probs.argmax(axis=1), probs
@@ -321,10 +329,9 @@ def predict(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
 
 def evaluate(checkpoint: M.Checkpoint, records: Sequence[UtteranceRecord],
              table: EmbeddingTable,
-             feature_cache: dict[tuple, np.ndarray] | None = None,
-             batch_size: int = 32) -> EvalReport:
+             feature_cache: dict[tuple, np.ndarray] | None = None) -> EvalReport:
     """Confusion matrix plus WA and UA on a record set."""
-    labels, _ = predict(checkpoint, records, table, feature_cache, batch_size)
+    labels, _ = predict(checkpoint, records, table, feature_cache)
     truth = [r.label for r in records]
     return report_from_confusion(confusion_matrix(truth, labels))
 

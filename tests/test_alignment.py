@@ -5,7 +5,7 @@ import pytest
 
 import emofuse.tensor as T
 from emofuse.alignment import (AlignmentMatrix, WordSpan, build_alignment, pool_words,
-                               temporal_align_pool, validate_alignment)
+                               temporal_align_pool)
 from emofuse.errors import DimensionError, InputError
 
 
@@ -188,41 +188,11 @@ class TestPoolWords:
 
 
 class TestValidateAlignment:
-    def test_identity(self):
-        diag = validate_alignment(AlignmentMatrix(np.eye(4)))
-        assert diag.unassigned_frames == 0
-        assert diag.empty_words == 0
-
     def test_spec_example_matrix(self):
         spans = [WordSpan("a", 0, 25), WordSpan("b", 25, 1000)]
-        diag = validate_alignment(build_alignment(spans, n=5, step_ms=10, width_ms=25))
-        assert diag.unassigned_frames == 0
-        assert diag.empty_words == 0
-
-    def test_zero_column_reported_not_raised(self):
-        mat = np.zeros((3, 2))
-        mat[:, 0] = 1.0
-        diag = validate_alignment(AlignmentMatrix(mat))
-        assert diag.empty_words == 1
-        assert diag.unassigned_frames == 0
-
-    def test_double_assignment_rejected(self):
-        mat = np.zeros((2, 2))
-        mat[0] = 1.0
-        with pytest.raises(InputError):
-            validate_alignment(AlignmentMatrix(mat))
-
-    def test_non_contiguous_block_rejected(self):
-        mat = np.zeros((4, 1))
-        mat[0, 0] = 1.0
-        mat[2, 0] = 1.0
-        with pytest.raises(InputError):
-            validate_alignment(AlignmentMatrix(mat))
-
-    def test_out_of_order_blocks_rejected(self):
-        mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InputError):
-            validate_alignment(AlignmentMatrix(mat))
+        mat = build_alignment(spans, n=5, step_ms=10, width_ms=25).matrix
+        np.testing.assert_array_equal(mat.sum(axis=1), np.ones(5))
+        assert np.all(mat.sum(axis=0) > 0)
 
     def test_non_binary_entries_rejected(self):
         with pytest.raises(InputError):

@@ -147,9 +147,9 @@ class TestTrainEval:
         assert code == 1
 
     @pytest.mark.parametrize("config_text", ['{"epochs": "2"}', "5", '{"learning_rate": NaN}',
-                                             '{"loss_reduction": "mean"}'],
+                                             '{"loss_reduction": "mean"}', '{"seed": -1}'],
                              ids=["string-epochs", "top-level-number", "nan-rate",
-                                  "deleted-loss-reduction"])
+                                  "deleted-loss-reduction", "negative-seed"])
     def test_unusable_config_file_is_exit_1(self, synth_dir, tmp_path, capsys, config_text):
         config = tmp_path / "bad.json"
         config.write_text(config_text)
@@ -249,6 +249,18 @@ class TestCv:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("command", ["synth", "train", "cv"])
+    def test_negative_seed_is_exit_1(self, synth_dir, tmp_path, capsys, caplog, command):
+        inputs = ["--manifest", str(synth_dir / "manifest.jsonl"),
+                  "--embeddings", str(synth_dir / "embeddings.txt"), "--epochs", "1"]
+        args = {"synth": ["--out-dir", str(tmp_path), "--n-per-class", "1"],
+                "train": inputs + ["--out", str(tmp_path / "m.emc")],
+                "cv": inputs + ["--k", "2"]}[command]
+        code, _ = run(capsys, command, *args, "--seed", "-1")
+        assert code == 1
+        assert "seed must be >= 0" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+
     def test_unknown_flag_is_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["synth", "--out-dir", "/tmp/x", "--bogus", "1"])

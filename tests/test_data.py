@@ -323,6 +323,10 @@ class TestSynthDataset:
         with pytest.raises(InputError):
             data.synth_dataset(tmp_path, n_per_class=0)
 
+    def test_rejects_negative_seed(self, tmp_path):
+        with pytest.raises(InputError, match="seed"):
+            data.synth_dataset(tmp_path, n_per_class=1, seed=-1)
+
 
 class TestPrepareRecord:
     def test_shapes_are_consistent(self, tmp_path):

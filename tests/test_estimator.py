@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from emofuse import data, dsp
-from emofuse.base import check_labels
 from emofuse.training import TrainConfig
 from emofuse.errors import InputError
-from emofuse.estimator import EmotionRecognizer, LowLevelFeatureExtractor
+from emofuse.estimator import EmotionRecognizer, LowLevelFeatureExtractor, check_labels
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +142,11 @@ class TestFitPredict:
         with pytest.raises(InputError, match="embedding"):
             EmotionRecognizer().fit(records)
 
+    def test_negative_seed_rejected(self, tiny):
+        records, table = tiny
+        with pytest.raises(InputError, match="seed"):
+            EmotionRecognizer(embeddings=table, epochs=1, seed=-1).fit(records)
+
     def test_save_load_preserves_predictions(self, fitted_clf, tiny, tmp_path):
         records, table = tiny
         path = tmp_path / "clf.emc"
@@ -161,6 +165,13 @@ class TestLowLevelFeatureExtractor:
         assert len(out) == 2
         assert out[0].shape[0] == 34
         assert out[0].shape == out[1].shape
+
+    def test_transform_takes_an_iterator(self):
+        rng = np.random.default_rng(1)
+        clips = [dsp.AudioClip(rng.uniform(-0.5, 0.5, n)) for n in (5600, 12000)]
+        for out in (LowLevelFeatureExtractor().transform(c for c in clips),
+                    LowLevelFeatureExtractor().fit_transform(c for c in clips)):
+            assert [x.shape for x in out] == [(34, 33), (34, 73)]
 
     def test_get_params(self):
         assert LowLevelFeatureExtractor().get_params() == {}

@@ -28,6 +28,11 @@ def make_sample(rng, n_frames=40, n_words=3, label=1, rid="s"):
     )
 
 
+def zero_params() -> M.ModelParams:
+    return M.ModelParams.from_arrays({name: np.zeros(shape)
+                                      for name, shape in M.PARAM_SHAPES.items()})
+
+
 @pytest.fixture(scope="module")
 def params():
     return M.init_params(seed=0)
@@ -66,7 +71,7 @@ class TestAcousticEncode:
             assert out.shape == (128, n)
 
     def test_zero_params_give_zero_output(self, rng):
-        out = M.acoustic_encode(rng.standard_normal((34, 20)), M.ModelParams.zeros())
+        out = M.acoustic_encode(rng.standard_normal((34, 20)), zero_params())
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_packed_batch_matches_one_at_a_time(self, params, rng):
@@ -111,7 +116,7 @@ class TestAcousticEncode:
 
 class TestCrossModalityExcite:
     def test_zero_gate_weight_halves_exactly(self, rng):
-        params = M.ModelParams.zeros()
+        params = zero_params()
         z_s = T.Tensor(rng.standard_normal((128, 5)))
         z_a2 = T.Tensor(rng.standard_normal((128, 5)))
         out = M.cross_modality_excite(z_s, z_a2, params)
@@ -149,7 +154,7 @@ class TestForward:
                 assert np.all(out.data > 0)
 
     def test_zero_params_give_uniform(self, rng):
-        out = M.forward(make_sample(rng), M.ModelParams.zeros(), "tempalign-cme")
+        out = M.forward(make_sample(rng), zero_params(), "tempalign-cme")
         np.testing.assert_array_equal(out.data, 0.25)
 
     def test_forward_is_deterministic(self, params, rng):
@@ -299,7 +304,7 @@ class TestLoss:
     def test_zero_params_give_batch_times_log4(self, rng):
         with T.precision(64):
             batch = [make_sample(rng, label=i % 4, rid=f"b{i}") for i in range(5)]
-            value = M.loss(batch, M.ModelParams.zeros(), "tempalign-cme").item()
+            value = M.loss(batch, zero_params(), "tempalign-cme").item()
             assert value == pytest.approx(5 * np.log(4.0), abs=1e-9)
 
     def test_confident_correct_prediction_near_zero(self, rng):

@@ -215,6 +215,10 @@ class TestTrainConfig:
         with pytest.raises(InputError, match=next(iter(overrides))):
             training.TrainConfig(**overrides).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            training.TrainConfig(seed=-1).validate()
+
     def test_numpy_scalars_accepted(self):
         training.TrainConfig(epochs=np.int64(3), learning_rate=np.float32(0.01)).validate()
 
@@ -297,6 +301,14 @@ class TestTrainFold:
         config = training.TrainConfig(epochs=30, seed=0, learning_rate=1e9, clip_norm=0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is the point
             with pytest.raises(DivergenceError):
+                training.train_fold(records, config, table)
+
+    def test_overflow_in_the_last_update_is_reported(self, sanity_set):
+        # one step: no forward follows it to find the non-finite parameters
+        records, table = sanity_set
+        config = training.TrainConfig(epochs=1, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="last update"):
                 training.train_fold(records, config, table)
 
 
