@@ -170,14 +170,6 @@ class EmotionRecognizer(ParamsMixin):
         predicted = self.predict(records)
         return float(np.mean(np.asarray(truth) == predicted))
 
-    def evaluate(self, X) -> training.EvalReport:
-        """Full confusion-matrix report with WA and UA."""
-        check_is_fitted(self, "checkpoint_")
-        records = check_records(X)
-        table = ensure_embedding_table(self.embeddings)
-        return training.evaluate(self.checkpoint_, records, table,
-                                 feature_cache=self._cache())
-
     def save(self, path) -> None:
         check_is_fitted(self, "checkpoint_")
         M.save_checkpoint(self.checkpoint_, path)

@@ -158,14 +158,16 @@ def _cross_entropy(rng: np.random.Generator):
     return (lambda z: T.cross_entropy(T.softmax_columns(z), onehot)), logits
 
 
-def _lstm(rng: np.random.Generator, arg: str, reverse: bool):
-    hid, lengths = _dim(rng), [3, 1, 4]
-    weigh = T.Tensor(rng.standard_normal((hid, sum(lengths))))
-    operands = {"x_proj": 0.5 * rng.standard_normal((4 * hid, sum(lengths))),
-                "w_h": 0.5 * rng.standard_normal((4 * hid, hid)),
-                "bias": 0.5 * rng.standard_normal(4 * hid)}
-    return _probe(operands, arg, lambda x_proj, w_h, bias: T.sum_all(
-        T.hadamard(T.lstm(x_proj, w_h, bias, lengths, reverse), weigh)))
+def _bilstm_max(rng: np.random.Generator, arg: str):
+    """Ragged sequences, so steps run 3, 2 and 1 of them."""
+    hid, dim, lengths = _dim(rng), _dim(rng), [3, 1, 4]
+    weigh = T.Tensor(rng.standard_normal((2 * hid, len(lengths))))
+    shapes = {"wx": (4 * hid, dim), "wh": (4 * hid, hid), "b": (4 * hid,)}
+    operands = {"g": rng.standard_normal((dim, sum(lengths))),
+                **{f"{d}_{w}": 0.5 * rng.standard_normal(shape)
+                   for d in ("fw", "bw") for w, shape in shapes.items()}}
+    return _probe(operands, arg, lambda g, fw_wx, fw_wh, fw_b, bw_wx, bw_wh, bw_b: T.sum_all(
+        T.hadamard(T.bilstm_max(g, (fw_wx, fw_wh, fw_b), (bw_wx, bw_wh, bw_b), lengths), weigh)))
 
 
 # Every differentiable op, one case per differentiable argument, each built
@@ -203,8 +205,8 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     "softmax_columns": lambda rng: _on_matrix(
         rng, lambda x: T.sigmoid(T.softmax_columns(x)), min_rows=2),
     "cross_entropy": _cross_entropy,
-    **{f"lstm/{arg} {direction}": partial(_lstm, arg=arg, reverse=direction == "reverse")
-       for direction in ("forward", "reverse") for arg in ("x_proj", "w_h", "bias")},
+    **{f"bilstm_max/{arg}": partial(_bilstm_max, arg=arg)
+       for arg in ("g", "fw_wx", "fw_wh", "fw_b", "bw_wx", "bw_wh", "bw_b")},
 }
 
 

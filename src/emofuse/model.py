@@ -11,15 +11,15 @@ Three fusion modes are supported:
                       from the semantic embedding.
 
 Shape ledger: 34×n → CNN → 128×n → alignment → 128×m → gate → 128×m →
-concat → 256×m → BiLSTM → 400×m → maxpool → 400 → head → 4.
+concat → 256×m → BiLSTM, max-pooled over the m steps → 400 → head → 4.
 
 Batching packs each modality's inputs once, so the graph has the same
 nodes at every batch size: the frames side by side for one CNN pass, whose
 output one node pools into word columns, and the token vectors (their
 means, in uttconcat) for one semantic linear. The word columns sit one
-sequence after another for the gate, the concat, the BiLSTM and the
-max-pool. Nothing is padded: each LSTM step computes only the sequences
-still running, and the max-pool reads each sequence's own columns.
+sequence after another. One op runs the BiLSTM and its max-pool over them
+in every mode (uttconcat is its one-step case), ordering the steps by
+length inside, so each step computes only the sequences still running.
 """
 
 from __future__ import annotations
@@ -206,18 +206,6 @@ def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
     return T.hadamard(gate, z_a2)
 
 
-def _bilstm(g: T.Tensor, lengths: np.ndarray, params: ModelParams) -> T.Tensor:
-    """BiLSTM states [400 × Σ lengths] for g [256 × Σ lengths], whose columns
-    hold the sequences one after another: forward h over backward h, in g's
-    layout. Each direction is one input-projection matmul over the real
-    columns and one sequence op."""
-    forward_h = T.lstm(T.matmul(params.lstm_fw_wx, g), params.lstm_fw_wh, params.lstm_fw_b,
-                       lengths)
-    backward_h = T.lstm(T.matmul(params.lstm_bw_wx, g), params.lstm_bw_wh, params.lstm_bw_b,
-                        lengths, reverse=True)
-    return T.concat_rows(forward_h, backward_h)
-
-
 def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
                   mode: FusionMode | str) -> T.Tensor:
     """Class probabilities [4 × B] for a batch of prepared samples."""
@@ -240,8 +228,9 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     if mode is FusionMode.TEMP_ALIGN_CME:
         z_a = cross_modality_excite(z_s, z_a, params)
 
-    states = _bilstm(T.concat_rows(z_a, z_s), lengths, params)
-    pooled_state = T.maxpool_steps(states, lengths)
+    pooled_state = T.bilstm_max(
+        T.concat_rows(z_a, z_s), (params.lstm_fw_wx, params.lstm_fw_wh, params.lstm_fw_b),
+        (params.lstm_bw_wx, params.lstm_bw_wh, params.lstm_bw_b), lengths)
     hidden = T.relu(T.linear(pooled_state, params.fcn1_w, params.fcn1_b))
     logits = T.linear(hidden, params.fcn2_w, params.fcn2_b)
     return T.softmax_columns(logits)
@@ -382,7 +371,7 @@ def load_checkpoint(path) -> Checkpoint:
         if arr.shape != PARAM_SHAPES[name]:
             raise InputError(
                 f"{path}: tensor {name} has shape {arr.shape}, expected {PARAM_SHAPES[name]}")
-    params = ModelParams.from_arrays(arrays)
+    params = ModelParams.from_arrays(arrays, requires_grad=False)  # a forward builds no graph
     return Checkpoint(
         params=params,
         fusion_mode=fusion_mode,

@@ -8,14 +8,14 @@ walks the resulting graph once, in reverse topological order.
 Besides the generic algebra, three fused ops carry the model's hot loops:
 ``conv1d_same`` is im2col matmuls over blocks of ``CONV_BLOCK`` columns,
 forward and (as a transposed conv) backward; ``conv_relu_stack`` runs
-relu(conv) layers on them into one stacked output; and ``lstm`` runs a
-whole LSTM direction (every step's gates and cell update) over sequences
-packed one after another, with a hand-written backpropagation through
-time, fed by an input projection computed once for all steps.
+relu(conv) layers on them into one stacked output; and ``bilstm_max``
+runs both LSTM directions over packed sequences, sorted longest first so
+each step is one block of rows, max-pooling as it goes, with one input
+projection per direction and a hand-written backpropagation through time.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
-    per-column bias of ``linear``/``add_bias``/``lstm``. Other
+    per-column bias of ``linear``/``add_bias``/``bilstm_max``. Other
     mismatches raise ``DimensionError`` to catch wiring bugs early.
   - Gradients are allocated lazily: a tensor's first contribution becomes
     its gradient (copied when it is a view or a broadcast), later ones add.
@@ -66,12 +66,12 @@ __all__ = [
     "pad_stack_time_major",
     "softmax_columns",
     "cross_entropy",
-    "lstm",
+    "bilstm_max",
     "backward",
 ]
 
 _DTYPES = {32: np.float32, 64: np.float64}
-CONV_BLOCK = 1000  # im2col columns per matmul; a 1024-float (4 KB) row stride thrashes BLAS packing
+CONV_BLOCK = 250  # im2col columns per product: small beside the graph; a 1024 stride thrashes BLAS
 _dtype: ContextVar[type] = ContextVar("emofuse_dtype", default=np.float32)
 
 
@@ -94,10 +94,12 @@ def default_dtype() -> type:
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    # cheap reduction first; a finite sum implies all entries are finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    if not np.isfinite(total) and not np.all(np.isfinite(arr)):
+    if arr.size <= 1 << 16:  # one pass, with no error-state switch to pay for
+        finite = np.isfinite(arr).all()
+    else:  # a reduction first: a finite sum implies finite entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(arr.sum()) or np.all(np.isfinite(arr))
+    if not finite:
         raise FloatingPointError(f"non-finite values produced by {where}")
 
 
@@ -629,83 +631,116 @@ def cross_entropy(p: Tensor, y: np.ndarray) -> Tensor:
     return _result(out_data, (p,), grad_fn, "cross_entropy")
 
 
-def lstm(x_proj: Tensor, w_h: Tensor, bias: Tensor, lengths: Sequence[int],
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over B packed sequences; returns every step's h.
+def bilstm_max(g: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
+               lengths: Sequence[int]) -> Tensor:
+    """BiLSTM states of B packed sequences, max-pooled over each one's steps.
 
-    x_proj [4H × Σ lengths] is W_x·x for every step of every sequence,
-    sequence b owning the lengths[b] columns that follow those of the
-    sequences before it. w_h [4H×H] and bias [4H] complete each step's
-    pre-activation (W_x·x + W_h·h) + b, whose row blocks are the input,
-    forget, candidate and output gates. The state starts at zero and walks
-    each sequence from its first column, or from its last when reverse is
-    set. The result [H × Σ lengths] has the input's layout. Step t computes
-    only the sequences longer than t, so no column is ever padded.
-
-    The backward pass is hand-written backpropagation through time: only
-    the W_hᵀ·d_pre recurrence runs per step; the gradients of x_proj, w_h
-    and bias are read off the [4H × Σ lengths] pre-activation gradient.
+    g [D × Σ lengths] holds the sequences one after another; fw and bw hold
+    each direction's (W_x [4H×D], W_h [4H×H], b [4H]). A step's
+    pre-activation (W_x·x + W_h·h) + b stacks the input, forget, candidate
+    and output gates; the state starts at zero. Column b of the [2H × B]
+    result stacks each direction's rowwise max over sequence b, ties going
+    to its earliest column. Sorted longest first (stably), step s runs a
+    prefix of B_s sequences at rows [off_s, off_s + B_s) of row-major
+    [2 × Σ lengths × ·] buffers, reading word s forward and word L − 1 − s
+    backward: no step gathers, scatters or pads. The gate buffer holds the
+    activations, then the pre-activation gradient.
     """
-    _need_2d(x_proj, "lstm")
-    _need_2d(w_h, "lstm")
-    hidden = w_h.shape[1]
-    if hidden < 1 or w_h.shape[0] != 4 * hidden or x_proj.shape[0] != 4 * hidden:
-        raise DimensionError(f"lstm shapes disagree: x_proj {x_proj.shape}, w_h {w_h.shape}")
-    if bias.data.ndim != 1 or bias.shape[0] != 4 * hidden:
-        raise DimensionError(f"lstm bias shape {bias.shape} does not match w_h {w_h.shape}")
-    lengths, starts = _packed(lengths, x_proj.shape[1], "lstm")
-    n_cols, dtype = x_proj.shape[1], x_proj.data.dtype
+    _need_2d(g, "bilstm_max")
+    weights, hidden = (*fw, *bw), fw[1].shape[-1]
+    if hidden < 1 or [t.shape for t in weights] != 2 * [
+            (4 * hidden, g.shape[0]), (4 * hidden, hidden), (4 * hidden,)]:
+        raise DimensionError(f"bilstm_max: g {g.shape}, weights {[t.shape for t in weights]}")
+    lengths, starts = _packed(lengths, g.shape[1], "bilstm_max")
+    dtype = np.result_type(g.data, *(t.data for t in weights))
+    order, batch, rows = np.argsort(-lengths, kind="stable"), lengths.size, g.shape[1]
+    widths = np.bincount(lengths - 1)[::-1].cumsum()[::-1]  # B_s: sequences longer than s
+    offsets = np.cumsum(widths) - widths
+    if widths.size > 1:
+        step = np.repeat(np.arange(widths.size), widths)
+        seq = order[np.arange(rows) - offsets[step]]
+        cols = (starts[seq] + step, starts[seq] + lengths[seq] - 1 - step)  # g column per row
+        xs = [np.take(g.data, c, axis=1) for c in cols]
+    else:  # one step: the rows keep the batch order
+        cols, xs = (order, order), (g.data, g.data)
+    acts = np.empty((2, rows, 4 * hidden), dtype)
+    for d, w_x in enumerate((fw[0], bw[0])):
+        acts[d] = (w_x.data @ xs[d]).T
+    _check_finite(acts, "bilstm_max")
+    biases = np.array([fw[2].data, bw[2].data], dtype)[:, None]
+    # σ(a) = ½·tanh(a/2) + ½ on all but the candidate's rows
+    scale, shift = np.repeat(np.array([[0.5, 0.5, 1, 0.5], [0.5, 0.5, 0, 0.5]], dtype), hidden, 1)
+    # a contiguous W_hᵀ speeds up a product of several rows by more than
+    # its copy costs, and one of a single row by less
+    w_hts = [np.ascontiguousarray(w_h.data.T) if widths[1:2].sum() > 1 else w_h.data.T
+             for w_h in (fw[1], bw[1])]
+    states, cells = np.empty((2, rows, hidden), dtype), np.empty((2, rows, hidden), dtype)
+    pooled = states[:, :batch]  # step 0 runs every sequence
+    for s, (lo, n, prev) in enumerate(zip(offsets, widths, (0, *offsets))):
+        a, c, h = acts[:, lo:lo + n], cells[:, lo:lo + n], states[:, lo:lo + n]
+        for d in (0, 1) if s else ():  # the state before the first step is zero
+            a[d] += states[d, prev:prev + n] @ w_hts[d]
+        a += biases
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        gate_in, gate_forget, candidate, gate_out = a.reshape(2, n, 4, hidden).transpose(2, 0, 1, 3)
+        np.multiply(gate_in, candidate, out=c)
+        if s:
+            c += gate_forget * cells[:, prev:prev + n]
+        np.tanh(c, out=h)
+        h *= gate_out
+        if s:  # a running max: ties go to the forward half's earlier step, the backward's later
+            np.greater(h[0], pooled[0, :n], out=better[0, :n])
+            np.greater_equal(h[1], pooled[1, :n], out=better[1, :n])
+            np.copyto(pooled[:, :n], h, where=better[:, :n])
+            np.copyto(argmax[:, :n], s, where=better[:, :n])
+        elif widths.size > 1:
+            pooled, argmax = pooled.copy(), np.zeros((2, batch, hidden), np.intp)
+            better = np.empty((2, batch, hidden), bool)
+    _check_finite(cells, "bilstm_max")  # tanh would hide it from the output's check
+    out_data = np.empty((2 * hidden, batch), dtype)
+    out_data.reshape(2, hidden, batch)[:, :, order] = pooled.transpose(0, 2, 1)
 
-    state = np.zeros((2 * hidden, lengths.size), dtype=dtype)  # h over c per sequence
-    out_data = np.empty((hidden, n_cols), dtype=dtype)
-    cells = np.empty((hidden, n_cols), dtype=dtype)
-    saved = []
-    steps = range(lengths.max())
-    for t in (reversed(steps) if reverse else steps):
-        cols = np.flatnonzero(lengths > t)
-        at = starts[cols] + t
-        h, c = state[:hidden, cols], state[hidden:, cols]
-        pre = (x_proj.data[:, at] + w_h.data @ h) + bias.data[:, None]
-        gate_in = _sigmoid(pre[:hidden])
-        gate_forget = _sigmoid(pre[hidden:2 * hidden])
-        candidate = np.tanh(pre[2 * hidden:3 * hidden])
-        gate_out = _sigmoid(pre[3 * hidden:])
-        c_new = gate_in * candidate + gate_forget * c
-        tanh_c = np.tanh(c_new)
-        h_new = gate_out * tanh_c
-        out_data[:, at] = h_new
-        cells[:, at] = c_new
-        state[:hidden, cols] = h_new
-        state[hidden:, cols] = c_new
-        saved.append((cols, at, h, c, gate_in, gate_forget, candidate, gate_out, tanh_c))
-    # tanh would hide a non-finite cell state from the output's check
-    _check_finite(cells, "lstm")
+    def grad_fn(grad: np.ndarray) -> None:
+        nonlocal states, cells  # each buffer goes once nothing reads it
+        d_states, d_cell = np.zeros((2, rows, hidden), dtype), np.zeros((2, batch, hidden), dtype)
+        d_pooled = grad.reshape(2, hidden, batch)[:, :, order].transpose(0, 2, 1)
+        at = (np.arange(2)[:, None, None], offsets[argmax] + np.arange(batch)[:, None],
+              np.arange(hidden)) if widths.size > 1 else slice(None)
+        d_states[at] = d_pooled
+        for s in reversed(range(widths.size)):
+            lo, n, prev = offsets[s], widths[s], offsets[s - 1]
+            a, d_c = acts[:, lo:lo + n], d_cell[:, :n]
+            gate_in, gate_forget, candidate, gate_out = a.reshape(2, n, 4, hidden).transpose(
+                2, 0, 1, 3)
+            tanh_c = np.tanh(cells[:, lo:lo + n])
+            d_c += d_states[:, lo:lo + n] * gate_out * (1.0 - tanh_c * tanh_c)
+            gate_out[...] = d_states[:, lo:lo + n] * tanh_c * gate_out * (1.0 - gate_out)
+            d_in = d_c * candidate * gate_in * (1.0 - gate_in)
+            candidate[...] = d_c * gate_in * (1.0 - candidate * candidate)
+            gate_in[...] = d_in
+            d_forget = d_c * cells[:, prev:prev + n] * gate_forget * (1.0 - gate_forget) if s else 0
+            d_c *= gate_forget  # the cell gradient that step s − 1 receives
+            gate_forget[...] = d_forget
+            for d in (0, 1) if s else ():
+                d_states[d, prev:prev + n] += a[d] @ weights[3 * d + 1].data
+        d_states = cells = None
+        for d, w_x in enumerate((fw[0], bw[0]) if g.requires_grad else ()):
+            _grad_buffer(g)[:, cols[d]] += (acts[d] @ w_x.data).T  # acts: pre-activation grads
+        prev_rows = np.arange(batch, rows) - np.repeat(widths[:-1], widths[1:])  # rows of s − 1
+        for d, (w_x, w_h, bias) in enumerate((fw, bw)):
+            if w_h.requires_grad:
+                _accumulate(w_h, acts[d, batch:].T @ states[d, prev_rows])
+            if bias.requires_grad:
+                _accumulate(bias, acts[d].sum(axis=0))
+        states = None
+        for d, w_x in enumerate((fw[0], bw[0])):
+            if w_x.requires_grad:
+                _accumulate(w_x, acts[d].T @ g.data[:, cols[d]].T)
 
-    def grad_fn(g: np.ndarray) -> None:
-        d_pre = np.empty((4 * hidden, n_cols), dtype=dtype)
-        h_prev = np.empty((hidden, n_cols), dtype=dtype)
-        d_state = np.zeros((2 * hidden, lengths.size), dtype=dtype)
-        for cols, at, h, c, gate_in, gate_forget, candidate, gate_out, tanh_c in reversed(saved):
-            g_h = g[:, at] + d_state[:hidden, cols]
-            d_c = d_state[hidden:, cols] + g_h * gate_out * (1.0 - tanh_c * tanh_c)
-            d_step = np.concatenate([
-                d_c * candidate * gate_in * (1.0 - gate_in),
-                d_c * c * gate_forget * (1.0 - gate_forget),
-                d_c * gate_in * (1.0 - candidate * candidate),
-                g_h * tanh_c * gate_out * (1.0 - gate_out),
-            ])
-            d_pre[:, at] = d_step
-            h_prev[:, at] = h
-            d_state[:hidden, cols] = w_h.data.T @ d_step
-            d_state[hidden:, cols] = d_c * gate_forget
-        if x_proj.requires_grad:
-            _accumulate(x_proj, d_pre)
-        if w_h.requires_grad:
-            _accumulate(w_h, d_pre @ h_prev.T)
-        if bias.requires_grad:
-            _accumulate(bias, d_pre.sum(axis=1))
-
-    return _result(out_data, (x_proj, w_h, bias), grad_fn, "lstm")
+    return _result(out_data, (g, *weights), grad_fn, "bilstm_max")
 
 
 # ---------------------------------------------------------------------------

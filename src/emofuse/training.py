@@ -297,6 +297,7 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
     for name, tensor in params.named():
         if not np.all(np.isfinite(tensor.data)):
             raise DivergenceError(f"training diverged: the last update made {name} non-finite")
+        tensor.requires_grad = False  # the fitted model's forward builds no graph
 
     checkpoint = M.Checkpoint(
         params=params,

@@ -90,12 +90,6 @@ class TestFitPredict:
         assert score == pytest.approx(manual)
         assert score >= 0.95  # overfit on its own training set
 
-    def test_evaluate_report(self, fitted_clf, tiny):
-        records, _ = tiny
-        report = fitted_clf.evaluate(records)
-        assert report.confusion.shape == (4, 4)
-        assert report.n_samples == len(records)
-
     def test_y_overrides_record_labels(self, tiny):
         records, table = tiny
         clf = EmotionRecognizer(embeddings=table, epochs=1, seed=0)

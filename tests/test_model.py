@@ -274,9 +274,8 @@ class TestModelGradient:
 class TestShapeLedger:
     def test_every_stage_shape(self, params, rng):
         """34×n -> 128×n -> pool -> 128×m -> gate -> 128×m -> concat 256×m
-        -> BiLSTM 400×m -> maxpool 400 -> head 128 -> 4."""
+        -> BiLSTM, max-pooled -> 400 -> head 128 -> 4."""
         from emofuse.alignment import temporal_align_pool
-        from emofuse.model import _bilstm
 
         sample = make_sample(rng, n_frames=50, n_words=4)
         n, m = 50, 4
@@ -290,9 +289,8 @@ class TestShapeLedger:
         assert gated.shape == (128, m)
         fused = T.concat_rows(gated, zs)
         assert fused.shape == (256, m)
-        states = _bilstm(fused, lengths=np.array([m]), params=params)
-        assert states.shape == (400, m)
-        pooled = T.maxpool_steps(states, [m])
+        pooled = T.bilstm_max(fused, (params.lstm_fw_wx, params.lstm_fw_wh, params.lstm_fw_b),
+                              (params.lstm_bw_wx, params.lstm_bw_wh, params.lstm_bw_b), [m])
         assert pooled.shape == (400, 1)
         hidden = T.relu(T.linear(pooled, params.fcn1_w, params.fcn1_b))
         assert hidden.shape == (128, 1)
@@ -396,6 +394,14 @@ class TestCheckpoint:
         a = M.forward(sample, params, "tempalign-cme").data
         b = M.forward(sample, loaded.params, "tempalign-cme").data
         np.testing.assert_array_equal(a, b)
+
+    def test_loaded_params_build_no_graph(self, tmp_path, params, rng):
+        path = tmp_path / "model.emc"
+        M.save_checkpoint(self._checkpoint(params), path)
+        loaded = M.load_checkpoint(path).params
+        assert not any(t.requires_grad for t in loaded.tensors())
+        out = M.forward(make_sample(rng), loaded, "tempalign-cme")
+        assert not out.requires_grad and out._parents == ()
 
     def test_loaded_params_train_in_place(self, tmp_path, params):
         from emofuse import training

@@ -51,6 +51,8 @@ PERFBENCH_ONLY = {
     **{f"tensor.{op}": "in TENSOR_OPS; the tracer raises on a missing attribute"
        for op in ("conv1d_same", "tanh", "add", "add_bias", "slice_rows", "slice_cols",
                   "pad_stack_time_major")},
+    "tensor.maxpool_steps": "in TENSOR_OPS; bilstm_max pools inside the op, so the model "
+                            "no longer calls it",
     "model.acoustic_encode": "a traced span; the tracer raises on a missing attribute",
     "estimator.EmotionRecognizer": "the library's classifier (README, Library), which "
                                    "no entry point of the package constructs",

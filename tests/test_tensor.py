@@ -560,24 +560,44 @@ def lstm_reference(x_proj, w_h, bias, reverse=False):
     return out
 
 
+def bilstm_reference(g, fw, bw, lengths):
+    """[2H × B]: each sequence of g run alone through each direction of
+    ``lstm_reference``, its states max-pooled over the steps."""
+    out = []
+    for x in split_packed(g, lengths):
+        states = [lstm_reference(w_x @ x, w_h, b, reverse)
+                  for (w_x, w_h, b), reverse in ((fw, False), (bw, True))]
+        out.append(np.concatenate(states).max(axis=1))
+    return np.stack(out, axis=1)
+
+
 def split_packed(x, lengths):
     return np.split(x, np.cumsum(lengths)[:-1], axis=1)
 
 
 class TestLstmCell:
-    def _args(self, lengths, hidden=3, seed=0):
+    """The BiLSTM op, bilstm_max, against the one-sequence reference."""
+
+    def _args(self, lengths, hidden=3, dim=5, seed=0):
+        """g, then (W_x, W_h, b) for each direction."""
         rng = np.random.default_rng(seed)
-        return (rng.standard_normal((4 * hidden, sum(lengths))),
-                rng.standard_normal((4 * hidden, hidden)), rng.standard_normal(4 * hidden))
+        direction = lambda: (rng.standard_normal((4 * hidden, dim)),  # noqa: E731
+                             rng.standard_normal((4 * hidden, hidden)),
+                             rng.standard_normal(4 * hidden))
+        return rng.standard_normal((dim, sum(lengths))), direction(), direction()
+
+    def _op(self, g, fw, bw, lengths, requires_grad=False):
+        """bilstm_max on fresh tensors, and those tensors: g, fw, bw."""
+        g = T.Tensor(g, requires_grad=requires_grad)
+        fw, bw = ([T.Tensor(a, requires_grad=requires_grad) for a in d] for d in (fw, bw))
+        return T.bilstm_max(g, fw, bw, lengths), (g, *fw, *bw)
 
     def _check_against_reference(self, lengths):
-        x_proj, w_h, bias = self._args(lengths)
-        for reverse in (False, True):
-            out = T.lstm(*map(T.Tensor, (x_proj, w_h, bias)), lengths, reverse)
-            assert out.shape == (3, sum(lengths))
-            for got, xp in zip(split_packed(out.data, lengths), split_packed(x_proj, lengths)):
-                np.testing.assert_allclose(got, lstm_reference(xp, w_h, bias, reverse),
-                                           rtol=0, atol=1e-14)
+        g, fw, bw = self._args(lengths)
+        out, _ = self._op(g, fw, bw, lengths)
+        assert out.shape == (6, len(lengths))
+        np.testing.assert_allclose(out.data, bilstm_reference(g, fw, bw, lengths),
+                                   rtol=0, atol=1e-12)
 
     def test_valid_columns_match_reference(self, f64):
         self._check_against_reference([4, 4, 4])
@@ -585,30 +605,54 @@ class TestLstmCell:
     def test_ragged_sequences_match_reference(self, f64):
         self._check_against_reference([3, 1, 5, 2])
 
+    @pytest.mark.parametrize("lengths", [[1], [5], [1] * 32], ids=["one-word", "five-words",
+                                                                   "32-one-word"])
+    def test_single_steps_and_sequences_match_reference(self, f64, lengths):
+        self._check_against_reference(lengths)
+
     def test_shape_mismatch(self):
-        x_proj, w_h, bias = map(T.Tensor, self._args([2, 2]))
+        _, (g, *weights) = self._op(*self._args([2, 2]), [2, 2])
+        fw, bw = weights[:3], weights[3:]
         with pytest.raises(DimensionError):
-            T.lstm(T.slice_rows(x_proj, 0, 8), w_h, bias, [2, 2])
+            T.bilstm_max(T.slice_rows(g, 0, 4), fw, bw, [2, 2])
         with pytest.raises(DimensionError):
-            T.lstm(x_proj, w_h, T.Tensor(bias.data[:8]), [2, 2])
+            T.bilstm_max(g, fw, (bw[0], bw[1], T.Tensor(bw[2].data[:8])), [2, 2])
+        with pytest.raises(DimensionError):
+            T.bilstm_max(g, fw, (bw[0], T.slice_rows(bw[1], 0, 8), bw[2]), [2, 2])
         for lengths in ([2, 3], [4, 0], []):
             with pytest.raises(ValueError):
-                T.lstm(x_proj, w_h, bias, lengths)
+                T.bilstm_max(g, fw, bw, lengths)
 
     def test_packed_gradients_match_one_at_a_time(self, f64):
         lengths = [3, 1, 5, 2]
-        x_proj, w_h, bias = self._args(lengths)
-        weigh = np.random.default_rng(1).standard_normal((3, sum(lengths)))
-        for reverse in (False, True):
-            packed = [T.Tensor(a, requires_grad=True) for a in (x_proj, w_h, bias)]
-            T.backward(T.sum_all(T.hadamard(T.lstm(*packed, lengths, reverse), T.Tensor(weigh))))
-            x_grads, w_grad, b_grad = [], 0.0, 0.0
-            for xp, wg in zip(split_packed(x_proj, lengths), split_packed(weigh, lengths)):
-                alone = [T.Tensor(a, requires_grad=True) for a in (xp, w_h, bias)]
-                out = T.lstm(*alone, [xp.shape[1]], reverse)
-                T.backward(T.sum_all(T.hadamard(out, T.Tensor(wg))))
-                x_grads.append(alone[0].grad)
-                w_grad, b_grad = w_grad + alone[1].grad, b_grad + alone[2].grad
-            for got, want in zip((p.grad for p in packed),
-                                 (np.concatenate(x_grads, axis=1), w_grad, b_grad)):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        g, fw, bw = self._args(lengths)
+        weigh = np.random.default_rng(1).standard_normal((6, len(lengths)))
+        out, packed = self._op(g, fw, bw, lengths, requires_grad=True)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
+        g_grads, weight_grads = [], 0.0
+        for b, x in enumerate(split_packed(g, lengths)):
+            out, alone = self._op(x, fw, bw, [x.shape[1]], requires_grad=True)
+            T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh[:, b:b + 1]))))
+            g_grads.append(alone[0].grad)
+            weight_grads = [t.grad + acc for t, acc in
+                            zip(alone[1:], weight_grads or [0.0] * 6)]
+        for got, want in zip((t.grad for t in packed),
+                             [np.concatenate(g_grads, axis=1)] + weight_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["forward", "backward"])
+    def test_ties_go_to_the_earliest_word(self, f64, half):
+        # a forget gate saturated at exactly 0 and a zero W_h make each
+        # state a function of its own word alone, so duplicate words tie
+        x, y = np.random.default_rng(2).standard_normal((2, 5, 1))
+        g = np.concatenate([x, x, x, y, y], axis=1)
+        lengths = [3, 2]
+        _, fw, bw = self._args(lengths)
+        for w_x, w_h, b in (fw, bw):
+            w_x[3:6], w_h[:], b[3:6] = 0.0, 0.0, -100.0
+        out, (probe, *_) = self._op(g, fw, bw, lengths, requires_grad=True)
+        weigh = np.zeros((6, 2))
+        weigh[3 * half:3 * half + 3] = 1.0
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
+        assert not probe.grad[:, [1, 2, 4]].any()
+        assert np.all(probe.grad[:, [0, 3]].any(axis=0))

@@ -340,6 +340,39 @@ class TestPredictEvaluate:
         supports = [sum(r.label == k for r in records) for k in range(4)]
         np.testing.assert_array_equal(report.confusion.sum(axis=1), supports)
 
+    def test_fitted_parameters_build_no_graph(self, fitted, monkeypatch):
+        checkpoint, records, table = fitted
+        assert not any(t.requires_grad for t in checkpoint.params.tensors())
+        outputs = []
+        forward = model.forward_batch
+
+        def spy(samples, params, mode):
+            outputs.append(forward(samples, params, mode))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        training.predict(checkpoint, records, table)
+        assert outputs and all(not out.requires_grad and out._parents == () for out in outputs)
+
+    def test_a_warm_forward_holds_only_its_output(self, fitted):
+        import tracemalloc
+
+        checkpoint, records, table = fitted
+        records = records * 4  # 32
+        prepared = training.prepare_all(records, table, checkpoint.stats(),
+                                         training.gather_features(records))
+        model.forward_batch(prepared, checkpoint.params, checkpoint.fusion_mode)
+        tracemalloc.start()
+        try:
+            out = model.forward_batch(prepared, checkpoint.params, checkpoint.fusion_mode)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the output and the logits its softmax keeps, a few hundred bytes
+        # each, where a recorded graph holds megabytes
+        assert out.shape == (4, 32)
+        assert held <= 8 * 1024, held
+
     def test_argmax_tie_goes_to_lowest_class(self):
         probs = np.array([[0.25, 0.25, 0.25, 0.25]])
         assert probs.argmax(axis=1)[0] == 0
