@@ -346,9 +346,19 @@ def prepare_record(record: UtteranceRecord, table: EmbeddingTable,
 
     ``stats`` is (mean, std) per feature dimension, applied as z-normalization.
     ``features`` short-circuits feature loading (per-dataset cache).
+    A word that starts at or after the end of the audio, taken as the end of
+    its last frame, raises InputError: no frame covers it, so the spans do
+    not belong to these features. A word before that end that captures no
+    frame centre is legal and pools nothing.
     """
     if features is None:
         features = load_record_features(record)
+    audio_end_ms = (features.shape[1] - 1) * dsp.FRAME_STEP_MS + dsp.FRAME_WIDTH_MS
+    for word in record.words:
+        if word.start_ms >= audio_end_ms:
+            raise InputError(
+                f"record {record.id!r}: word {word.token!r} starts at {word.start_ms} ms, "
+                f"at or after the end of its audio ({audio_end_ms} ms)")
     if stats is not None:
         mean, std = stats
         features = (features - mean[:, None]) / std[:, None]

@@ -206,23 +206,28 @@ def _source_key(record: UtteranceRecord) -> tuple[int, int, int, int]:
 
 def gather_features(records: Sequence[UtteranceRecord],
                     cache: dict[tuple, np.ndarray] | None = None) -> list[np.ndarray]:
-    """Raw feature matrices in record order (ids need not be unique); the
-    cache, keyed by feature source file, persists across folds, modes and
-    datasets. Without one, a fresh cache still loads each file once."""
+    """Raw feature matrices in record order (ids need not be unique), in the
+    tensor dtype: extraction and ``.emt`` files stay float64, and each matrix
+    is cast once, as it enters the cache. The cache, keyed by feature source
+    file and dtype, persists across folds, modes and datasets; a float64 run
+    never reads features rounded for a float32 one. Without a cache, a fresh
+    one still loads each file once."""
     if cache is None:
         cache = {}
+    dtype = T.default_dtype()
     out: list[np.ndarray] = []
     for record in records:
-        key = _source_key(record)
+        key = (_source_key(record), dtype)
         if key not in cache:
-            cache[key] = load_record_features(record)
+            cache[key] = load_record_features(record).astype(dtype, copy=False)
         out.append(cache[key])
     return out
 
 
 def feature_stats(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and std over all frames; std floored at 1e-8."""
-    stacked = np.concatenate(list(features), axis=1)
+    """Per-dimension mean and std over all frames, in float64 whatever the
+    features' dtype; std floored at 1e-8."""
+    stacked = np.concatenate(list(features), axis=1, dtype=np.float64)
     mean = stacked.mean(axis=1)
     std = np.maximum(stacked.std(axis=1), 1e-8)
     return mean, std
@@ -231,13 +236,23 @@ def feature_stats(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
                 stats: tuple[np.ndarray, np.ndarray] | None,
                 features: Sequence[np.ndarray]) -> list[PreparedSample]:
-    """Model-ready samples; features[i] belongs to records[i]. Features and
-    alignments take the tensor dtype; token vectors stay float64."""
+    """Model-ready samples; features[i] belongs to records[i], as
+    ``gather_features`` returns them. Normalization runs in float64 against
+    the float64 stats; features and alignments then take the tensor dtype,
+    token vectors stay float64. A set in which no token is in the table
+    raises InputError: every word would embed as zeros."""
     dtype = T.default_dtype()
-    samples = (prepare_record(r, table, stats=stats, features=f)
-               for r, f in zip(records, features, strict=True))
-    return [dataclasses.replace(s, features=s.features.astype(dtype, copy=False),
-                                alignment=s.alignment.astype(dtype, copy=False)) for s in samples]
+    out: list[PreparedSample] = []
+    known = 0  # words found in the table
+    for record, raw in zip(records, features, strict=True):
+        s = prepare_record(record, table, stats=stats, features=raw)
+        known += s.n_words - s.oov_count
+        out.append(dataclasses.replace(s, features=s.features.astype(dtype, copy=False),
+                                       alignment=s.alignment.astype(dtype, copy=False)))
+    if out and not known:
+        raise InputError(f"none of the {sum(s.n_words for s in out)} words of these "
+                         f"{len(out)} records is in the embedding table")
+    return out
 
 
 # ---------------------------------------------------------------------------

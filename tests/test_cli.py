@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emofuse import cli, data, model
+from emofuse.alignment import WordSpan
 
 
 def run(capsys, *argv):
@@ -211,6 +212,36 @@ class TestNonFiniteInputs:
         code, _ = run(capsys, command, "--manifest", str(synth_dir / "manifest.jsonl"),
                       "--embeddings", str(embeddings), *io)
         assert code == 1
+
+
+class TestInconsistentInputs:
+    """Inputs that parse but cannot be right: exit 1, not a silent answer."""
+
+    def test_spans_past_the_end_of_the_audio_is_exit_1(self, synth_dir, ckpt, tmp_path,
+                                                       capsys, caplog):
+        records = data.load_manifest(synth_dir / "manifest.jsonl")
+        for record in records:
+            record.words = [WordSpan(w.token, w.start_ms + 60_000, w.end_ms + 60_000)
+                            for w in record.words]
+        data.save_manifest(records, tmp_path / "late.jsonl")
+        code, _ = run(capsys, "eval", "--checkpoint", str(ckpt),
+                      "--manifest", str(tmp_path / "late.jsonl"),
+                      "--embeddings", str(synth_dir / "embeddings.txt"))
+        assert code == 1
+        assert "end of its audio" in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_no_token_in_the_embedding_table_is_exit_1(self, synth_dir, ckpt, tmp_path,
+                                                        capsys, caplog, command):
+        embeddings = tmp_path / "emb.txt"
+        data.save_embeddings(
+            data.EmbeddingTable({"unrelated": np.ones(data.EMBEDDING_DIM)}), embeddings)
+        io = (["--out", str(tmp_path / "m.emc"), "--epochs", "1"] if command == "train"
+              else ["--checkpoint", str(ckpt)])
+        code, _ = run(capsys, command, "--manifest", str(synth_dir / "manifest.jsonl"),
+                      "--embeddings", str(embeddings), *io)
+        assert code == 1
+        assert "embedding table" in caplog.text
 
 
 class TestCv:

@@ -365,3 +365,32 @@ class TestPrepareRecord:
         sample = data.prepare_record(record, table)
         np.testing.assert_array_equal(sample.features, features)
         assert sample.n_frames == 30
+
+    def _thirty_frame_record(self, tmp_path, words):
+        # 30 frames cover (30 - 1) * 10 + 25 = 315 ms of audio
+        path = tmp_path / "feat.emt"
+        data.save_array(path, np.random.default_rng(7).standard_normal((34, 30)))
+        return data.UtteranceRecord("f1", words, 1, features_path=str(path))
+
+    @pytest.mark.parametrize("start", [315, 60_000])
+    def test_word_starting_at_or_past_the_audio_end_rejected(self, tmp_path, start):
+        words = [WordSpan("a", 0, 150), WordSpan("late", start, start + 100)]
+        record = self._thirty_frame_record(tmp_path, words)
+        with pytest.raises(InputError, match=r"'f1'.*'late'"):
+            data.prepare_record(record, data.EmbeddingTable({}))
+
+    def test_short_word_capturing_no_frame_centre_is_legal(self, tmp_path):
+        # the last frame centre is at 302.5 ms; [305, 314) holds none
+        words = [WordSpan("a", 0, 150), WordSpan("b", 305, 314)]
+        sample = data.prepare_record(self._thirty_frame_record(tmp_path, words),
+                                     data.EmbeddingTable({}))
+        np.testing.assert_array_equal(sample.alignment[:, 1], 0.0)
+
+    def test_synthetic_clip_shifted_past_its_end_rejected(self, tmp_path):
+        ds = data.synth_dataset(tmp_path, n_per_class=1, seed=3)
+        table = data.load_embeddings(ds.embeddings_path)
+        record = ds.records[0]
+        record.words = [WordSpan(w.token, w.start_ms + 60_000, w.end_ms + 60_000)
+                        for w in record.words]
+        with pytest.raises(InputError, match=f"{record.id!r}.*{record.words[0].token!r}"):
+            data.prepare_record(record, table)

@@ -148,6 +148,18 @@ class TestFitPredict:
         loaded = EmotionRecognizer.load(path, embeddings=table)
         np.testing.assert_array_equal(loaded.predict(records), fitted_clf.predict(records))
 
+    def test_cache_holds_served_features_in_the_tensor_dtype(self, fitted_clf, tiny, tmp_path):
+        records, table = tiny
+        path = tmp_path / "clf.emc"
+        fitted_clf.save(path)
+        served = EmotionRecognizer.load(path, embeddings=table)
+        served.predict(records)
+        cached = list(served._feature_cache.values())
+        assert len(cached) == len(records)
+        assert all(f.dtype == np.float32 for f in cached)
+        frames = [data.load_record_features(r).shape[1] for r in records]
+        assert sum(f.nbytes for f in cached) == sum(34 * n * 4 for n in frames)
+
 
 class TestLowLevelFeatureExtractor:
     def test_transform_clips_and_paths(self, tmp_path):

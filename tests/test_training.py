@@ -27,7 +27,8 @@ class TestGatherFeatures:
         training.gather_features(first, cache)
         got = training.gather_features(second, cache)
         for record, features in zip(second, got, strict=True):
-            np.testing.assert_array_equal(features, data.load_record_features(record))
+            np.testing.assert_array_equal(
+                features, data.load_record_features(record).astype(T.default_dtype()))
 
     def test_colliding_ids_within_one_call_keep_their_own_features(self, tmp_path):
         first = data.synth_dataset(tmp_path / "a", n_per_class=1, seed=1).records
@@ -37,7 +38,8 @@ class TestGatherFeatures:
             got = training.gather_features(records, cache)
             assert len(got) == len(records)
             for record, features in zip(records, got):
-                np.testing.assert_array_equal(features, data.load_record_features(record))
+                np.testing.assert_array_equal(
+                    features, data.load_record_features(record).astype(T.default_dtype()))
 
     def test_predict_scores_each_colliding_record_on_its_own_features(self, tmp_path, sanity_set):
         _, table = sanity_set
@@ -59,6 +61,44 @@ class TestGatherFeatures:
         again = training.gather_features(records, cache)
         assert loads == []
         assert all(a is b for a, b in zip(again, first, strict=True))
+
+    def test_each_dtype_gets_its_own_entries(self, sanity_set, monkeypatch):
+        # a float64 run sharing a cache with a float32 one never reads rounded features
+        records, _ = sanity_set
+        loads = []
+        monkeypatch.setattr(training, "load_record_features",
+                            lambda record: loads.append(record.id) or data.load_record_features(record))
+        cache = {}
+        for bits, dtype in ((32, np.float32), (64, np.float64), (32, np.float32), (64, np.float64)):
+            with T.precision(bits):
+                got = training.gather_features(records, cache)
+            for record, features in zip(records, got, strict=True):
+                assert features.dtype == dtype
+                np.testing.assert_array_equal(
+                    features, data.load_record_features(record).astype(dtype))
+        assert sorted(loads) == sorted(2 * [r.id for r in records])
+        assert len(cache) == 2 * len(records)
+
+
+class TestFeatureStats:
+    def test_float32_features_give_the_float64_stats_of_their_values(self):
+        # 20,000 frames of values spanning 17 decades: a reduction that casts
+        # float32 in buffered chunks sums in another order than one over the
+        # whole float64 row, and the rounding shows
+        rng = np.random.default_rng(0)
+        features = [np.exp(rng.uniform(-20, 20, (34, 500))).astype(np.float32)
+                    for _ in range(40)]
+        mean, std = training.feature_stats(features)
+        want_mean, want_std = training.feature_stats([f.astype(np.float64) for f in features])
+        assert mean.dtype == std.dtype == np.float64
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(std, want_std)
+
+    def test_std_floor_holds_for_float32_features(self):
+        features = [np.full((34, 7), 3.25, dtype=np.float32)]
+        mean, std = training.feature_stats(features)
+        np.testing.assert_array_equal(mean, 3.25)
+        np.testing.assert_array_equal(std, 1e-8)
 
 
 class TestAdamStep:
@@ -291,6 +331,18 @@ class TestTrainFold:
         assert len(lines) == 2
         assert all("clip rate 1.00" in line for line in lines)
 
+    def test_no_token_in_the_table_rejected(self, sanity_set):
+        records, _ = sanity_set
+        unrelated = data.EmbeddingTable({"unrelated": np.ones(data.EMBEDDING_DIM)})
+        with pytest.raises(InputError, match="embedding table"):
+            training.train_fold(records, training.TrainConfig(epochs=1), unrelated)
+
+    def test_one_known_token_is_enough(self, sanity_set):
+        records, table = sanity_set
+        token = records[0].words[0].token
+        one = data.EmbeddingTable({token: table.lookup(token)[0]})
+        training.train_fold(records, training.TrainConfig(epochs=1), one)
+
     def test_empty_training_set_rejected(self, sanity_set):
         _, table = sanity_set
         with pytest.raises(InputError):
@@ -372,6 +424,11 @@ class TestPredictEvaluate:
         # each, where a recorded graph holds megabytes
         assert out.shape == (4, 32)
         assert held <= 8 * 1024, held
+
+    def test_no_token_in_the_table_rejected(self, fitted):
+        checkpoint, records, _ = fitted
+        with pytest.raises(InputError, match="embedding table"):
+            training.predict(checkpoint, records, data.EmbeddingTable({}))
 
     def test_argmax_tie_goes_to_lowest_class(self):
         probs = np.array([[0.25, 0.25, 0.25, 0.25]])
