@@ -7,6 +7,9 @@ frame-level embedding by that matrix pools each word's frames into one
 column. The spans are sorted and disjoint, so each frame belongs to at most
 one word and each word's frames form one contiguous block by construction;
 ``AlignmentMatrix`` checks only that every entry is 0 or 1.
+``word_entries`` lists a batch's matrices as pooling entries; the model
+hands them to its CNN op, which pools inside, and ``pool_words`` pools a
+packed embedding with them.
 """
 
 from __future__ import annotations
@@ -82,26 +85,36 @@ def build_alignment(spans: Sequence[WordSpan], n: int, step_ms: int,
     return AlignmentMatrix(matrix)
 
 
-def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
-               starts: Sequence[int]) -> T.Tensor:
-    """Word columns [q × Σ m_b] of B utterances whose frames are packed in
-    z [q × N]: utterance b's n_b frames start at column starts[b], and
-    alignments[b] [n_b × m_b] maps them to its words. Each word sums its
-    frames in time order, bit-identical to a per-word loop and to pooling
-    its utterance alone."""
+def word_entries(alignments: Sequence[AlignmentMatrix | np.ndarray], starts: Sequence[int],
+                 n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pooling entries (cols, words, weights, n_words) of B utterances
+    whose frames are packed in n_cols columns: utterance b's n_b frames
+    start at column starts[b], and alignments[b] [n_b × m_b] maps them to
+    its words. Entries run word-major, frames ascending within a word, so
+    each word sums its frames in time order."""
     cols, words, weights, n_words = [], [], [], 0
     for a, start in zip(alignments, starts, strict=True):
         mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)
-        if z.data.ndim != 2 or mat.ndim != 2 or start + mat.shape[0] > z.shape[1]:
-            raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment "
-                                 f"{mat.shape} from column {start}")
+        if mat.ndim != 2 or start + mat.shape[0] > n_cols:
+            raise DimensionError(f"pooling shapes disagree: {n_cols} frame columns vs "
+                                 f"alignment {mat.shape} from column {start}")
         word, frame = np.nonzero(mat.T)  # word-major, frames ascending per word
         cols.append(start + frame)
         words.append(n_words + word)
         weights.append(mat[frame, word])
         n_words += mat.shape[1]
-    return T.pool_cols(z, np.concatenate(cols), np.concatenate(words),
-                       np.concatenate(weights), n_words)
+    return np.concatenate(cols), np.concatenate(words), np.concatenate(weights), n_words
+
+
+def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
+               starts: Sequence[int]) -> T.Tensor:
+    """Word columns [q × Σ m_b] of B utterances whose frames are packed in
+    z [q × N], as ``word_entries`` maps them. Each word sums its frames in
+    time order, bit-identical to a per-word loop and to pooling its
+    utterance alone."""
+    if z.data.ndim != 2:
+        raise DimensionError(f"pooling needs a 2-d z, got shape {z.shape}")
+    return T.pool_cols(z, *word_entries(alignments, starts, z.shape[1]))
 
 
 def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray) -> T.Tensor:

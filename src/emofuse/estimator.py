@@ -103,6 +103,10 @@ class EmotionRecognizer(ParamsMixin):
     pass y to override). The embedding table is a constructor resource:
     either an ``EmbeddingTable`` or a path to an embedding text file.
 
+    The estimator caches the features of every record it fits or predicts,
+    for its whole life, with no bound or eviction: 34·n values per distinct
+    record of n frames, in the tensor dtype (4 bytes each under float32).
+
     >>> clf = EmotionRecognizer(embeddings="embeddings.txt", epochs=20)
     >>> clf.fit(records).predict(records)
     """

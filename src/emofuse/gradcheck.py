@@ -109,16 +109,28 @@ def _conv1d_same(rng: np.random.Generator, arg: str, n: int | None = None):
                   lambda x, filters, bias: T.sum_all(T.sigmoid(T.conv1d_same(x, filters, bias))))
 
 
-def _conv_relu_stack(rng: np.random.Generator, arg: str):
-    """Two layers over 9 columns, of which keep drops columns 3 and 6."""
+# The pooled forms of conv_relu_stack over its 9 columns: word entries (a
+# frame shared by words 0 and 1 at weight 0.5, columns 3 and 6 pooled by no
+# word, word 2 empty) or spans (two share column 5), and their output widths.
+_STACK_POOLS = {
+    "words": ({"entries": ([0, 1, 2, 2, 4, 5, 8, 7], [0, 0, 0, 1, 1, 1, 3, 3],
+                           [1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0], 4)}, 4),
+    "spans": ({"spans": [(0, 3), (4, 6), (5, 9)]}, 3),
+}
+
+
+def _conv_relu_stack(rng: np.random.Generator, arg: str, pool: str | None = None):
+    """Two layers over 9 columns, of which keep drops columns 3 and 6;
+    unpooled, or pooled as ``_STACK_POOLS[pool]``."""
     cin, mid, cout, n = _dim(rng), _dim(rng), _dim(rng), 9
-    keep, weigh = np.ones(n), T.Tensor(rng.standard_normal((mid + cout, n)))
+    pooling, width = _STACK_POOLS[pool] if pool else ({}, n)
+    keep, weigh = np.ones(n), T.Tensor(rng.standard_normal((mid + cout, width)))
     keep[[3, 6]] = 0.0
     operands = {"x": rng.standard_normal((cin, n)), "w1": rng.standard_normal((mid, cin, 3)),
                 "b1": rng.standard_normal(mid), "w2": rng.standard_normal((cout, mid, 2)),
                 "b2": rng.standard_normal(cout)}
     return _probe(operands, arg, lambda x, w1, b1, w2, b2: T.sum_all(T.hadamard(
-        T.conv_relu_stack(x, [(w1, b1), (w2, b2)], keep), weigh)))
+        T.conv_relu_stack(x, [(w1, b1), (w2, b2)], keep, **pooling), weigh)))
 
 
 def _linear(rng: np.random.Generator, arg: str):
@@ -179,6 +191,8 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     "conv1d_same/x n<k": partial(_conv1d_same, arg="x", n=2),
     **{f"conv_relu_stack/{arg}": partial(_conv_relu_stack, arg=arg)
        for arg in ("x", "w1", "b1", "w2", "b2")},
+    **{f"conv_relu_stack {pool}/{arg}": partial(_conv_relu_stack, arg=arg, pool=pool)
+       for pool in _STACK_POOLS for arg in ("x", "w1", "b1", "w2", "b2")},
     **{f"linear/{arg}": partial(_linear, arg=arg) for arg in ("x", "weight", "bias")},
     "add_bias/bias": _add_bias,
     "sigmoid": lambda rng: _on_matrix(rng, T.sigmoid),

@@ -10,16 +10,20 @@ Three fusion modes are supported:
                       first scaled elementwise by a sigmoid gate computed
                       from the semantic embedding.
 
-Shape ledger: 34×n → CNN → 128×n → alignment → 128×m → gate → 128×m →
-concat → 256×m → BiLSTM, max-pooled over the m steps → 400 → head → 4.
+Shape ledger: 34×n → CNN, its 128×n output pooled inside the op by the
+alignment → 128×m → gate → 128×m → concat → 256×m → BiLSTM, max-pooled
+over the m steps → 400 → head → 4. In uttconcat the op's pooling is each
+utterance's mean frame, 128×1, and the BiLSTM runs one step.
 
 Batching packs each modality's inputs once, so the graph has the same
-nodes at every batch size: the frames side by side for one CNN pass, whose
-output one node pools into word columns, and the token vectors (their
-means, in uttconcat) for one semantic linear. The word columns sit one
-sequence after another. One op runs the BiLSTM and its max-pool over them
-in every mode (uttconcat is its one-step case), ordering the steps by
-length inside, so each step computes only the sequences still running.
+nodes at every batch size: the frames side by side for one CNN op, which
+returns them already pooled (word columns, or one mean column per
+utterance in uttconcat), so its 128×N output never becomes a graph node;
+and the token vectors (their means, in uttconcat) for one semantic linear.
+The word columns sit one sequence after another. One op runs the BiLSTM
+and its max-pool over them in every mode (uttconcat is its one-step case),
+ordering the steps by length inside, so each step computes only the
+sequences still running.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ import numpy as np
 
 from . import tensor as T
 # temporal_align_pool stays bound here, where perfbench's tracer looks it up
-from .alignment import pool_words, temporal_align_pool  # noqa: F401
+from .alignment import temporal_align_pool, word_entries  # noqa: F401
 from .data import PreparedSample, check_label
 from .dsp import N_FEATURES, feature_order_hash
-from .errors import InputError
+from .errors import DimensionError, InputError
 
 N_CLASSES = 4
 CNN_KERNELS = (20, 10, 2)
@@ -168,10 +172,17 @@ def init_params(seed: int = 0) -> ModelParams:
 # network stages
 
 
-def acoustic_encode_batch(features: Sequence[np.ndarray],
-                          params: ModelParams) -> tuple[T.Tensor, np.ndarray]:
-    """34×n_b feature arrays, one per utterance -> the batch's packed 128×N
-    embedding, and the column where each utterance starts.
+def acoustic_encode_batch(features: Sequence[np.ndarray], params: ModelParams,
+                          pool: Sequence[np.ndarray] | str | None = None,
+                          ) -> tuple[T.Tensor, np.ndarray]:
+    """34×n_b feature arrays, one per utterance -> the batch's 128-row CNN
+    embedding, and the column where each utterance starts in the packed one.
+
+    pool picks what the embedding is: None, the packed 128×N output;
+    "mean", each utterance's mean frame column [128 × B]; one alignment
+    matrix [n_b × m_b] per utterance, the word columns [128 × Σ m_b], each
+    word summing its frames in time order. The pooling runs inside the CNN
+    op, so the packed output never leaves it.
 
     Three stacked 1-d conv layers with relu, one ``conv_relu_stack`` whose
     output stacks all three layer outputs (64 + 32 + 32 rows). The batch
@@ -191,7 +202,15 @@ def acoustic_encode_batch(features: Sequence[np.ndarray],
         keep[start:start + width] = 1.0
     layers = [(params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
               (params.conv3_w, params.conv3_b)]
-    return T.conv_relu_stack(T.Tensor(packed), layers, keep), starts
+    if pool is None:
+        pooling = {}
+    elif isinstance(pool, str):
+        if pool != "mean":
+            raise ValueError(f"acoustic_encode_batch: unknown pool {pool!r}")
+        pooling = {"spans": [(lo, lo + width) for lo, width in zip(starts, widths)]}
+    else:
+        pooling = {"entries": word_entries(pool, starts, packed.shape[1])}
+    return T.conv_relu_stack(T.Tensor(packed), layers, keep, **pooling), starts
 
 
 def acoustic_encode(features: np.ndarray, params: ModelParams) -> T.Tensor:
@@ -213,15 +232,19 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     if not samples:
         raise InputError("forward_batch needs at least one sample")
 
-    acoustic, starts = acoustic_encode_batch([s.features for s in samples], params)
+    features = [s.features for s in samples]
     if mode is FusionMode.UTT_CONCAT:
         lengths = np.ones(len(samples), dtype=np.int64)
-        z_a = T.mean_cols(acoustic, [(lo, lo + s.n_frames) for lo, s in zip(starts, samples)])
+        z_a, _ = acoustic_encode_batch(features, params, "mean")
         # the semantic linear commutes with the mean over an utterance's words
         tokens = np.stack([s.token_vectors.mean(axis=1) for s in samples], axis=1)
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        z_a = pool_words(acoustic, [s.alignment for s in samples], starts)
+        for s in samples:  # a longer alignment would pool the frames of the next sample
+            if s.alignment.shape[0] != s.n_frames:
+                raise DimensionError(f"sample {s.id!r}: alignment has {s.alignment.shape[0]} "
+                                     f"rows for {s.n_frames} frames")
+        z_a, _ = acoustic_encode_batch(features, params, [s.alignment for s in samples])
         tokens = np.concatenate([s.token_vectors for s in samples], axis=1,
                                 dtype=T.default_dtype())
     z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)
@@ -320,7 +343,7 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[start:start + header_len].decode("utf-8"))
         if not isinstance(header, dict):
             raise InputError(f"{path}: checkpoint header is not a JSON object")
-        payload = blob[start + header_len:]
+        payload = memoryview(blob)[start + header_len:]  # slices of it copy nothing
         if header["feature_order_hash"] != feature_order_hash():
             raise InputError(
                 f"{path}: checkpoint was built against a different feature order "
@@ -340,7 +363,7 @@ def load_checkpoint(path) -> Checkpoint:
             raw = payload[offset:offset + nbytes]
             if len(raw) != nbytes:
                 raise InputError(f"{path}: truncated checkpoint payload")
-            # a copy: a view of the file's bytes would be read-only
+            # the one copy of each tensor: a view of the file's bytes would be read-only
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         fusion_mode = FusionMode.parse(header["fusion_mode"])
         # older files record the pooling; every model since sums each word's frames

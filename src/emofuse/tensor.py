@@ -8,10 +8,13 @@ walks the resulting graph once, in reverse topological order.
 Besides the generic algebra, three fused ops carry the model's hot loops:
 ``conv1d_same`` is im2col matmuls over blocks of ``CONV_BLOCK`` columns,
 forward and (as a transposed conv) backward; ``conv_relu_stack`` runs
-relu(conv) layers on them into one stacked output; and ``bilstm_max``
-runs both LSTM directions over packed sequences, sorted longest first so
-each step is one block of rows, max-pooling as it goes, with one input
-projection per direction and a hand-written backpropagation through time.
+relu(conv) layers on them into one stacked output and, given the batch's
+pooling (word entries as ``pool_cols`` takes them, or spans as
+``mean_cols`` does), returns the pooled columns instead, building its
+gradient in the stack's own rows; and ``bilstm_max`` runs both LSTM
+directions over packed sequences, sorted longest first so each step is one
+block of rows, max-pooling as it goes, with one input projection per
+direction and a hand-written backpropagation through time.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
@@ -239,27 +242,29 @@ def _conv_forward(x: np.ndarray, filters: Tensor, bias: Tensor, op: str,
     return out
 
 
-def _conv_backward(x: np.ndarray, filters: Tensor, bias: Tensor, g: np.ndarray,
-                   g_x: np.ndarray | None) -> None:
+def _conv_param_grads(x: np.ndarray, filters: Tensor, bias: Tensor, g: np.ndarray) -> None:
     """Accumulate the filter and bias gradients of conv1d_same(x, filters,
-    bias) for the output gradient g, and add x's gradient into g_x if given."""
+    bias) for the output gradient g."""
     cout, cin, k = filters.shape
-    pad_left = (k - 1) // 2
     if filters.requires_grad:
         # the blocks are rebuilt here rather than kept from the forward
         # pass, which would hold a [cin·k × n] copy as long as the graph
         g_w = np.zeros((cout, cin * k), dtype=g.dtype)
-        for start, stop, cols in _im2col_blocks(x, k, pad_left):
+        for start, stop, cols in _im2col_blocks(x, k, (k - 1) // 2):
             g_w += g[:, start:stop] @ cols.T
         _accumulate(filters, g_w.reshape(cout, cin, k))
     if bias.requires_grad:
         _accumulate(bias, g.sum(axis=1))
-    if g_x is not None:
-        # transposed conv: dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
-        # with g padded by the mirrored amounts
-        w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
-        for start, stop, cols in _im2col_blocks(g, k, k - 1 - pad_left):
-            g_x[:, start:stop] += w_flip @ cols
+
+
+def _conv_input_grad(filters: Tensor, g: np.ndarray, g_x: np.ndarray) -> None:
+    """Add the input gradient of conv1d_same for the output gradient g into
+    g_x: a transposed conv, dx[c, s] = Σ_o Σ_j w[o, c, k−1−j]·gp[o, s + j]
+    with g padded by the mirrored amounts."""
+    cout, cin, k = filters.shape
+    w_flip = filters.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+    for start, stop, cols in _im2col_blocks(g, k, k // 2):
+        g_x[:, start:stop] += w_flip @ cols
 
 
 def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
@@ -271,25 +276,42 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     out_data = _conv_forward(x.data, filters, bias, "conv1d_same")
 
     def grad_fn(g: np.ndarray) -> None:
-        _conv_backward(x.data, filters, bias, g, _grad_buffer(x) if x.requires_grad else None)
+        _conv_param_grads(x.data, filters, bias, g)
+        if x.requires_grad:
+            _conv_input_grad(filters, g, _grad_buffer(x))
 
     return _result(out_data, (x, filters, bias), grad_fn, "conv1d_same")
 
 
-def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
-                    keep: np.ndarray) -> Tensor:
+def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], keep: np.ndarray,
+                    *, entries: tuple | None = None,
+                    spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
     """relu(conv1d_same) layers, each (filters, bias), in turn over x [cin×n]:
-    each writes its rows of one [Σ cout × n] result and reads the rows of
+    each writes its rows of one [Σ cout × n] stack and reads the rows of
     the layer before. keep, a 0/1 weight per column, zeroes the dropped
-    columns of every layer but the last. The graph holds only x and the
-    result: the backward reads each layer's input and relu mask off them
-    and overwrites the output gradient in place."""
+    columns of every layer but the last.
+
+    Unpooled, the result is the stack; the graph holds only x and it, and
+    the backward reads each layer's input and relu mask off them and
+    overwrites the output gradient in place. Given entries (cols, groups,
+    weights, n_groups) or spans, the result pools the stack bit for bit as
+    ``pool_cols`` or ``mean_cols`` would, and the stack never leaves the
+    op: the backward builds each layer's gradient in the layer's own rows,
+    top layer first, once the layer above has read them for its filter
+    gradient, so no second [Σ cout × n] array is made."""
     _need_2d(x, "conv_relu_stack")
     if np.shape(keep) != (x.shape[1],):
         raise DimensionError(f"conv_relu_stack keep {np.shape(keep)} does not fit x {x.shape}")
+    if entries is not None and spans is not None:
+        raise ValueError("conv_relu_stack pools by entries or by spans, not both")
     weights = tuple(t for layer in layers for t in layer)
     rows = np.cumsum([0] + [bias.data.size for _, bias in layers])  # cout, once checked
     out_data = np.empty((rows[-1], x.shape[1]), np.result_type(x.data, *(t.data for t in weights)))
+    if entries is not None:
+        cols, groups, pool_weights, n_groups = _checked_entries(
+            *entries, out_data.shape, out_data.dtype, "conv_relu_stack")
+    if spans is not None:
+        spans = _checked_spans(spans, out_data.shape, "conv_relu_stack")
     blocks = [out_data[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
     inputs = [x.data] + blocks
     for (filters, bias), h, src in zip(layers, blocks, inputs):
@@ -298,18 +320,46 @@ def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
         np.maximum(h, 0.0, out=h)
         if h is not blocks[-1]:
             h *= keep
+    if entries is not None:
+        result = _gather_sum(out_data, _gather_plan(groups, cols, pool_weights, n_groups,
+                                                    out_data.dtype))
+    elif spans is not None:
+        result = _span_means(out_data, spans)
+    else:
+        result = out_data
 
     def grad_fn(g: np.ndarray) -> None:
-        g_blocks = [g[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
-        g_inputs = [_grad_buffer(x) if x.requires_grad else None] + g_blocks
-        for i in reversed(range(len(layers))):
-            # whole now: the layer after has added its input gradient in place
-            if i < len(layers) - 1:
-                g_blocks[i] *= keep
-            g_blocks[i] *= blocks[i] > 0
-            _conv_backward(inputs[i], *layers[i], g_blocks[i], g_inputs[i])
+        if result is out_data:
+            grads = [g[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
+        else:  # the activation rows take the gradient, layer by layer
+            grads = blocks
+            if entries is not None:
+                plan = _gather_plan(cols, groups, pool_weights, x.shape[1], g.dtype)
 
-    return _result(out_data, (x, *weights), grad_fn, "conv_relu_stack")
+        def begin(i: int) -> np.ndarray:
+            """Layer i's relu mask, read before its pooled gradient lands."""
+            mask = blocks[i] > 0
+            if entries is not None:
+                _gather_sum(g[rows[i]:rows[i + 1]], plan, out=blocks[i])
+            elif spans is not None:
+                blocks[i][...] = 0.0
+                _add_span_grads(g[rows[i]:rows[i + 1]], spans, blocks[i])
+            return mask
+
+        mask = begin(len(layers) - 1)
+        for i in reversed(range(len(layers))):
+            # whole now: the layer after has added its input gradient
+            if i < len(layers) - 1:
+                grads[i] *= keep
+            grads[i] *= mask
+            _conv_param_grads(inputs[i], *layers[i], grads[i])
+            if i:
+                mask = begin(i - 1)
+                _conv_input_grad(layers[i][0], grads[i], grads[i - 1])
+            elif x.requires_grad:
+                _conv_input_grad(layers[0][0], grads[0], _grad_buffer(x))
+
+    return _result(result, (x, *weights), grad_fn, "conv_relu_stack")
 
 
 def _im2col_blocks(a: np.ndarray, k: int, left: int):
@@ -454,22 +504,37 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop], (x,), grad_fn, "slice_cols")
 
 
+def _checked_spans(spans: Sequence[tuple[int, int]], shape: tuple[int, ...],
+                   op: str) -> list[tuple[int, int]]:
+    spans = [(int(lo), int(hi)) for lo, hi in spans]
+    if not spans or any(not 0 <= lo < hi <= shape[1] for lo, hi in spans):
+        raise ValueError(f"{op}: spans {spans} do not fit shape {shape}")
+    return spans
+
+
+def _span_means(src: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    out = np.empty((src.shape[0], len(spans)), dtype=src.dtype)
+    for b, (lo, hi) in enumerate(spans):
+        out[:, b] = src[:, lo:hi].mean(axis=1)
+    return out
+
+
+def _add_span_grads(g: np.ndarray, spans: list[tuple[int, int]], out: np.ndarray) -> None:
+    """Add the gradient of ``_span_means`` for its output gradient g into out."""
+    for b, (lo, hi) in enumerate(spans):
+        out[:, lo:hi] += g[:, b:b + 1] / (hi - lo)
+
+
 def mean_cols(x: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
     """Column b of the [d × len(spans)] result is the mean of the columns
     spans[b][0] .. spans[b][1] − 1 of x [d×m]."""
     _need_2d(x, "mean_cols")
-    spans = [(int(lo), int(hi)) for lo, hi in spans]
-    if not spans or any(not 0 <= lo < hi <= x.shape[1] for lo, hi in spans):
-        raise ValueError(f"mean_cols: spans {spans} do not fit shape {x.shape}")
-    out_data = np.empty((x.shape[0], len(spans)), dtype=x.data.dtype)
-    for b, (lo, hi) in enumerate(spans):
-        out_data[:, b] = x.data[:, lo:hi].mean(axis=1)
+    spans = _checked_spans(spans, x.shape, "mean_cols")
 
     def grad_fn(g: np.ndarray) -> None:
-        for b, (lo, hi) in enumerate(spans):
-            _grad_buffer(x)[:, lo:hi] += g[:, b:b + 1] / (hi - lo)
+        _add_span_grads(g, spans, _grad_buffer(x))
 
-    return _result(out_data, (x,), grad_fn, "mean_cols")
+    return _result(_span_means(x.data, spans), (x,), grad_fn, "mean_cols")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -482,29 +547,52 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(out_data, (x,), grad_fn, "sum_all")
 
 
-def _gather_sum(src: np.ndarray, targets: np.ndarray, sources: np.ndarray,
-                weights: np.ndarray, n_out: int) -> np.ndarray:
-    """[d × n_out]: column t sums weights[e]·src[:, sources[e]] over the
-    entries e with targets[e] = t, in entry order. The k-th entry of every
-    target is gathered at once (weight 0 pads targets with fewer); the
-    first lands in the output itself, and the loop over k adds the others."""
+def _gather_plan(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+                 n_out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(index, scale), both [depth × n_out]: row k holds the source column
+    and weight of each target's k-th entry, in entry order; weight 0 pads
+    targets with fewer entries."""
     order = np.argsort(targets, kind="stable")
     targets, sources, weights = targets[order], sources[order], weights[order]
     counts = np.bincount(targets, minlength=n_out)
-    if not targets.size:
-        return np.zeros((src.shape[0], n_out), dtype=src.dtype)
     offset = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.zeros((int(counts.max()), n_out), dtype=np.int64)
+    index = np.zeros((int(counts.max(initial=0)), n_out), dtype=np.int64)
     index[offset, targets] = sources
-    scale = np.zeros(index.shape, dtype=src.dtype)
+    scale = np.zeros(index.shape, dtype=dtype)
     scale[offset, targets] = weights
-    out = np.take(src, index[0], axis=1)
+    return index, scale
+
+
+def _gather_sum(src: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """[d × n_out], written into out if given: column t sums
+    scale[k, t]·src[:, index[k, t]] over k in order. Every target's first
+    entry is gathered straight into the output, the others all at once,
+    and the loop over k adds them."""
+    index, scale = plan
+    if out is None:
+        out = np.empty((src.shape[0], index.shape[1]), dtype=src.dtype)
+    if not index.size:  # no entries
+        out[...] = 0.0
+        return out
+    np.take(src, index[0], axis=1, out=out, mode="clip")  # "raise" would buffer out
     out *= scale[0]
     rest = np.take(src, index[1:], axis=1)  # [d × depth − 1 × n_out], C order
     rest *= scale[1:]
     for k in range(rest.shape[1]):
         out += rest[:, k]
     return out
+
+
+def _checked_entries(cols, groups, weights, n_groups: int, shape: tuple[int, ...], dtype,
+                     op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    cols, groups = np.asarray(cols, dtype=np.int64), np.asarray(groups, dtype=np.int64)
+    weights = np.asarray(weights, dtype=dtype)
+    if not cols.shape == groups.shape == weights.shape == (cols.size,) or cols.size and (
+            min(cols.min(), groups.min()) < 0 or cols.max() >= shape[1]
+            or groups.max() >= n_groups):
+        raise ValueError(f"{op}: entries do not map {shape} into {n_groups} columns")
+    return cols, groups, weights, n_groups
 
 
 def pool_cols(x: Tensor, cols: np.ndarray, groups: np.ndarray, weights: np.ndarray,
@@ -514,16 +602,12 @@ def pool_cols(x: Tensor, cols: np.ndarray, groups: np.ndarray, weights: np.ndarr
     entries in the order given, bit-identical to a loop over them. The
     backward pass pools the output gradient back from groups to cols."""
     _need_2d(x, "pool_cols")
-    cols, groups = np.asarray(cols, dtype=np.int64), np.asarray(groups, dtype=np.int64)
-    weights = np.asarray(weights, dtype=x.data.dtype)
-    if not cols.shape == groups.shape == weights.shape == (cols.size,) or cols.size and (
-            min(cols.min(), groups.min()) < 0 or cols.max() >= x.shape[1]
-            or groups.max() >= n_groups):
-        raise ValueError(f"pool_cols: entries do not map {x.shape} into {n_groups} columns")
-    out_data = _gather_sum(x.data, groups, cols, weights, n_groups)
+    cols, groups, weights, n_groups = _checked_entries(cols, groups, weights, n_groups, x.shape,
+                                                       x.data.dtype, "pool_cols")
+    out_data = _gather_sum(x.data, _gather_plan(groups, cols, weights, n_groups, x.data.dtype))
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, _gather_sum(g, cols, groups, weights, x.shape[1]))
+        _accumulate(x, _gather_sum(g, _gather_plan(cols, groups, weights, x.shape[1], g.dtype)))
 
     return _result(out_data, (x,), grad_fn, "pool_cols")
 

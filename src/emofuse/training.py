@@ -238,8 +238,8 @@ def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
                 features: Sequence[np.ndarray]) -> list[PreparedSample]:
     """Model-ready samples; features[i] belongs to records[i], as
     ``gather_features`` returns them. Normalization runs in float64 against
-    the float64 stats; features and alignments then take the tensor dtype,
-    token vectors stay float64. A set in which no token is in the table
+    the float64 stats; features, alignments and token vectors then take the
+    tensor dtype. A set in which no token is in the table
     raises InputError: every word would embed as zeros."""
     dtype = T.default_dtype()
     out: list[PreparedSample] = []
@@ -247,8 +247,10 @@ def prepare_all(records: Sequence[UtteranceRecord], table: EmbeddingTable,
     for record, raw in zip(records, features, strict=True):
         s = prepare_record(record, table, stats=stats, features=raw)
         known += s.n_words - s.oov_count
-        out.append(dataclasses.replace(s, features=s.features.astype(dtype, copy=False),
-                                       alignment=s.alignment.astype(dtype, copy=False)))
+        out.append(dataclasses.replace(
+            s, features=s.features.astype(dtype, copy=False),
+            alignment=s.alignment.astype(dtype, copy=False),
+            token_vectors=s.token_vectors.astype(dtype, copy=False)))
     if out and not known:
         raise InputError(f"none of the {sum(s.n_words for s in out)} words of these "
                          f"{len(out)} records is in the embedding table")

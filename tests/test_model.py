@@ -10,7 +10,7 @@ import pytest
 import emofuse.tensor as T
 from emofuse import model as M
 from emofuse.data import PreparedSample
-from emofuse.errors import InputError
+from emofuse.errors import DimensionError, InputError
 
 
 def make_sample(rng, n_frames=40, n_words=3, label=1, rid="s"):
@@ -83,6 +83,23 @@ class TestAcousticEncode:
                 out = packed.data[:, start:start + x.shape[1]]
                 np.testing.assert_allclose(out, M.acoustic_encode(x, params).data,
                                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_pooled_batch_matches_pooling_the_packed_output(self, params, rng, bits):
+        from emofuse.alignment import pool_words
+        with T.precision(bits):
+            samples = [make_sample(rng, n_frames=n, n_words=m)
+                       for n, m in ((3, 2), (40, 3), (25, 5))]
+            features, aligns = [s.features for s in samples], [s.alignment for s in samples]
+            stack, starts = M.acoustic_encode_batch(features, params)
+            spans = [(lo, lo + s.n_frames) for lo, s in zip(starts, samples)]
+            for pool, want in ((aligns, pool_words(stack, aligns, starts)),
+                               ("mean", T.mean_cols(stack, spans))):
+                got, got_starts = M.acoustic_encode_batch(features, params, pool)
+                np.testing.assert_array_equal(got_starts, starts)
+                np.testing.assert_array_equal(got.data, want.data)
+        with pytest.raises(ValueError, match="pool"):
+            M.acoustic_encode_batch(features, params, "max")
 
     def test_packed_gradients_match_one_at_a_time(self, params, rng):
         with T.precision(64):
@@ -209,6 +226,13 @@ class TestForward:
         with pytest.raises(InputError):
             M.forward_batch([], params, "tempalign")
 
+    @pytest.mark.parametrize("rows", [35, 15])
+    def test_alignment_rows_must_match_the_frames(self, params, rng, rows):
+        # 35 rows would pool the gap and the next sample's first frames
+        bad = dataclasses.replace(make_sample(rng, n_frames=20), alignment=np.ones((rows, 3)))
+        with pytest.raises(DimensionError, match="35|15"):
+            M.forward_batch([bad, make_sample(rng, n_frames=30)], params, "tempalign")
+
 
 class TestGraphSize:
     @pytest.mark.parametrize("mode", [m.value for m in M.FusionMode])
@@ -261,6 +285,45 @@ class TestBackwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * held, (peak / 1e6, held / 1e6)
+
+
+class TestPooledCnnBackwardMemory:
+    def test_the_pooled_cnn_builds_its_gradient_in_its_activation(self):
+        # TestBackwardMemory's batch through the CNN and its word pooling
+        rng = np.random.default_rng(5)
+        words = rng.integers(8, 25, size=32)
+        samples = [make_sample(rng, n_frames=20 * int(w), n_words=int(w), label=i % 4,
+                               rid=f"s{i}") for i, w in enumerate(words)]
+        features, aligns = [s.features for s in samples], [s.alignment for s in samples]
+        params = M.init_params(seed=0)
+        cnn = [params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b,
+               params.conv3_w, params.conv3_b]
+        n_cols = sum(s.n_frames for s in samples) + max(M.CNN_KERNELS) // 2 * (len(samples) - 1)
+        weigh = T.Tensor(rng.standard_normal((M.ACOUSTIC_DIM, int(words.sum()))))
+
+        def backward_peak(pooled_words):
+            params.zero_grad()
+            tracemalloc.start()
+            try:
+                loss = T.sum_all(T.hadamard(pooled_words(), weigh))
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                T.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - held
+
+        def composed():  # the stack leaves the op, and pooling is a node of its own
+            from emofuse.alignment import pool_words
+            stack, starts = M.acoustic_encode_batch(features, params)
+            return pool_words(stack, aligns, starts)
+
+        fused = backward_peak(lambda: M.acoustic_encode_batch(features, params, aligns)[0])
+        stack_bytes = M.ACOUSTIC_DIM * n_cols * np.dtype(T.default_dtype()).itemsize
+        bound = sum(t.data.nbytes for t in cnn) + stack_bytes / 2
+        # pool_cols' backward allocates the stack's whole gradient
+        assert fused <= bound < backward_peak(composed), (fused / 1e6, bound / 1e6)
 
 
 class TestModelGradient:
@@ -413,6 +476,19 @@ class TestCheckpoint:
             t.grad = np.ones_like(t.data)
         training.adam_step(loaded, training.AdamState(loaded), training.TrainConfig())
         assert np.all(loaded.fcn2_b.data < before)
+
+    def test_load_copies_each_tensor_once(self, tmp_path, params):
+        # the file's bytes plus one copy of each tensor; slicing the bytes
+        # would copy the payload twice more
+        path = tmp_path / "model.emc"
+        M.save_checkpoint(self._checkpoint(params), path)
+        tracemalloc.start()
+        try:
+            M.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * path.stat().st_size, peak / path.stat().st_size
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.emc"

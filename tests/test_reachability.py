@@ -53,6 +53,8 @@ PERFBENCH_ONLY = {
                   "pad_stack_time_major")},
     "tensor.maxpool_steps": "in TENSOR_OPS; bilstm_max pools inside the op, so the model "
                             "no longer calls it",
+    "tensor.mean_cols": "in TENSOR_OPS; conv_relu_stack pools inside the op, so the model "
+                        "no longer calls it",
     "model.acoustic_encode": "a traced span; the tracer raises on a missing attribute",
     "estimator.EmotionRecognizer": "the library's classifier (README, Library), which "
                                    "no entry point of the package constructs",

@@ -154,6 +154,72 @@ class TestConvReluStack:
             assert got.dtype == want.dtype == (np.float32 if bits == 32 else np.float64)
             np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _packed_batch(rng, batch):
+        """Ragged utterances packed 10 columns apart: the keep mask, each
+        utterance's column span, and the word entries. In every utterance
+        frame 0 is unassigned and word 0 has no frames; the last frame of
+        word 1 also belongs to word 2, at weight 0.5 in each."""
+        from emofuse.alignment import word_entries
+
+        lengths = rng.integers(1, 60, size=batch)
+        lengths[0] = 41
+        starts = np.cumsum([0] + [n + 10 for n in lengths[:-1]])
+        keep = np.zeros(starts[-1] + lengths[-1], dtype=T.default_dtype())
+        aligns = []
+        for start, length in zip(starts, lengths):
+            keep[start:start + length] = 1.0
+            m = int(rng.integers(3, 6))
+            a = np.zeros((length, m))
+            for j, frames in enumerate(np.array_split(np.arange(1, length), m - 1), start=1):
+                a[frames, j] = 1.0
+            shared = np.flatnonzero(a[:, 1])[-1:]
+            a[shared, 1:3] = 0.5
+            aligns.append(a)
+        spans = [(lo, lo + n) for lo, n in zip(starts, lengths)]
+        return keep, spans, word_entries(aligns, starts, keep.size)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("batch", [1, 13, 32])
+    @pytest.mark.parametrize("form", ["entries", "spans"])
+    def test_pooled_matches_pooling_the_stack_bit_for_bit(self, bits, batch, form):
+        # the unpooled stack, then pool_cols or mean_cols: output and gradients
+        rng = np.random.default_rng(batch)
+        with T.precision(bits):
+            keep, spans, entries = self._packed_batch(rng, batch)
+            assert entries[0].size > np.unique(entries[0]).size  # a frame two words share
+            x, layers = self._operands(rng, keep.size)
+            pooling = {"entries": entries} if form == "entries" else {"spans": spans}
+            width = entries[3] if form == "entries" else batch
+            weigh = T.Tensor(rng.standard_normal((13, width)))
+            runs = []
+            for fused in (True, False):
+                xt = T.Tensor(x, requires_grad=True)
+                lt = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True))
+                      for w, b in layers]
+                if fused:
+                    out = T.conv_relu_stack(xt, lt, keep, **pooling)
+                else:
+                    stack = T.conv_relu_stack(xt, lt, keep)
+                    out = (T.pool_cols(stack, *entries) if form == "entries"
+                           else T.mean_cols(stack, spans))
+                T.backward(T.sum_all(T.hadamard(out, weigh)))
+                runs.append([out.data, xt.grad] + [t.grad for pair in lt for t in pair])
+        for got, want in zip(*runs, strict=True):
+            assert got.dtype == want.dtype == (np.float32 if bits == 32 else np.float64)
+            np.testing.assert_array_equal(got, want)
+
+    def test_pools_by_entries_or_spans_not_both(self):
+        x = T.Tensor(np.zeros((3, 8)))
+        layer = (T.Tensor(np.zeros((4, 3, 2))), T.Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="not both"):
+            T.conv_relu_stack(x, [layer], np.ones(8), entries=([0], [0], [1.0], 1),
+                              spans=[(0, 8)])
+        with pytest.raises(ValueError, match="entries"):
+            T.conv_relu_stack(x, [layer], np.ones(8), entries=([8], [0], [1.0], 1))
+        with pytest.raises(ValueError, match="spans"):
+            T.conv_relu_stack(x, [layer], np.ones(8), spans=[(0, 9)])
+
     def test_gradient_with_a_gap_mask_matches_finite_differences(self):
         from emofuse.gradcheck import OP_TOLERANCE, _op_cases, grad_check
         with T.precision(64):

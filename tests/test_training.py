@@ -319,7 +319,7 @@ class TestTrainFold:
         want = np.float32 if bits == 32 else np.float64
         for sample, features in zip(prepared, raw, strict=True):
             assert sample.features.dtype == sample.alignment.dtype == want
-            assert sample.token_vectors.dtype == np.float64
+            assert sample.token_vectors.dtype == want
             assert sample.features.shape == features.shape
 
     def test_epoch_log_reports_gradient_norm_and_clip_rate(self, sanity_set, caplog):
