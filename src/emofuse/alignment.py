@@ -7,9 +7,10 @@ frame-level embedding by that matrix pools each word's frames into one
 column. The spans are sorted and disjoint, so each frame belongs to at most
 one word and each word's frames form one contiguous block by construction;
 ``AlignmentMatrix`` checks only that every entry is 0 or 1.
-``word_entries`` lists a batch's matrices as pooling entries; the model
-hands them to its CNN op, which pools inside, and ``pool_words`` pools a
-packed embedding with them.
+``word_entries`` lists a batch's matrices as pooling entries, checking that
+each matrix has one row per frame of its utterance; the model hands them
+to its CNN op, which pools inside, and ``temporal_align_pool`` pools one
+utterance's embedding with them.
 """
 
 from __future__ import annotations
@@ -86,18 +87,19 @@ def build_alignment(spans: Sequence[WordSpan], n: int, step_ms: int,
 
 
 def word_entries(alignments: Sequence[AlignmentMatrix | np.ndarray], starts: Sequence[int],
-                 n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                 n_frames: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The pooling entries (cols, words, weights, n_words) of B utterances
-    whose frames are packed in n_cols columns: utterance b's n_b frames
-    start at column starts[b], and alignments[b] [n_b × m_b] maps them to
-    its words. Entries run word-major, frames ascending within a word, so
-    each word sums its frames in time order."""
+    packed side by side: utterance b's n_frames[b] frames start at column
+    starts[b], and alignments[b] [n_frames[b] × m_b] maps them to its words.
+    Entries run word-major, frames ascending within a word, so each word
+    sums its frames in time order."""
     cols, words, weights, n_words = [], [], [], 0
-    for a, start in zip(alignments, starts, strict=True):
+    for b, (a, start, n) in enumerate(zip(alignments, starts, n_frames, strict=True)):
         mat = a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)
-        if mat.ndim != 2 or start + mat.shape[0] > n_cols:
-            raise DimensionError(f"pooling shapes disagree: {n_cols} frame columns vs "
-                                 f"alignment {mat.shape} from column {start}")
+        # a longer alignment would pool the next utterance's frames
+        if mat.ndim != 2 or mat.shape[0] != n:
+            raise DimensionError(f"utterance {b}: alignment {mat.shape} needs one row "
+                                 f"for each of its {n} frames")
         word, frame = np.nonzero(mat.T)  # word-major, frames ascending per word
         cols.append(start + frame)
         words.append(n_words + word)
@@ -106,21 +108,10 @@ def word_entries(alignments: Sequence[AlignmentMatrix | np.ndarray], starts: Seq
     return np.concatenate(cols), np.concatenate(words), np.concatenate(weights), n_words
 
 
-def pool_words(z: T.Tensor, alignments: Sequence[AlignmentMatrix | np.ndarray],
-               starts: Sequence[int]) -> T.Tensor:
-    """Word columns [q × Σ m_b] of B utterances whose frames are packed in
-    z [q × N], as ``word_entries`` maps them. Each word sums its frames in
-    time order, bit-identical to a per-word loop and to pooling its
-    utterance alone."""
+def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray) -> T.Tensor:
+    """Pool frame columns of z [q × n] into word columns [q × m] via z @ A.
+    Each word sums its frames in time order, bit-identical to a per-word
+    loop and to the model's pooling inside its CNN op."""
     if z.data.ndim != 2:
         raise DimensionError(f"pooling needs a 2-d z, got shape {z.shape}")
-    return T.pool_cols(z, *word_entries(alignments, starts, z.shape[1]))
-
-
-def temporal_align_pool(z: T.Tensor, a: AlignmentMatrix | np.ndarray) -> T.Tensor:
-    """Pool frame columns of z [q × n] into word columns [q × m] via z @ A:
-    the one-utterance case of ``pool_words``."""
-    n = (a.matrix if isinstance(a, AlignmentMatrix) else np.asarray(a)).shape[0]
-    if z.data.ndim != 2 or z.shape[1] != n:
-        raise DimensionError(f"pooling shapes disagree: z {z.shape} vs alignment with {n} frames")
-    return pool_words(z, [a], [0])
+    return T.pool_cols(z, *word_entries([a], [0], [z.shape[1]]))

@@ -318,10 +318,6 @@ class PreparedSample:
     oov_count: int = 0
 
     @property
-    def n_frames(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def n_words(self) -> int:
         return self.alignment.shape[1]
 

@@ -119,11 +119,11 @@ _STACK_POOLS = {
 }
 
 
-def _conv_relu_stack(rng: np.random.Generator, arg: str, pool: str | None = None):
-    """Two layers over 9 columns, of which keep drops columns 3 and 6;
-    unpooled, or pooled as ``_STACK_POOLS[pool]``."""
+def _conv_relu_stack(rng: np.random.Generator, arg: str, pool: str):
+    """Two layers over 9 columns, of which keep drops columns 3 and 6,
+    pooled as ``_STACK_POOLS[pool]``."""
     cin, mid, cout, n = _dim(rng), _dim(rng), _dim(rng), 9
-    pooling, width = _STACK_POOLS[pool] if pool else ({}, n)
+    pooling, width = _STACK_POOLS[pool]
     keep, weigh = np.ones(n), T.Tensor(rng.standard_normal((mid + cout, width)))
     keep[[3, 6]] = 0.0
     operands = {"x": rng.standard_normal((cin, n)), "w1": rng.standard_normal((mid, cin, 3)),
@@ -189,8 +189,6 @@ _CASES: dict[str, Callable[[np.random.Generator], tuple[Callable, T.Tensor]]] = 
     **{f"conv1d_same/{arg}": partial(_conv1d_same, arg=arg) for arg in ("x", "filters", "bias")},
     "conv1d_same/x n=1": partial(_conv1d_same, arg="x", n=1),
     "conv1d_same/x n<k": partial(_conv1d_same, arg="x", n=2),
-    **{f"conv_relu_stack/{arg}": partial(_conv_relu_stack, arg=arg)
-       for arg in ("x", "w1", "b1", "w2", "b2")},
     **{f"conv_relu_stack {pool}/{arg}": partial(_conv_relu_stack, arg=arg, pool=pool)
        for pool in _STACK_POOLS for arg in ("x", "w1", "b1", "w2", "b2")},
     **{f"linear/{arg}": partial(_linear, arg=arg) for arg in ("x", "weight", "bias")},

@@ -16,10 +16,11 @@ over the m steps → 400 → head → 4. In uttconcat the op's pooling is each
 utterance's mean frame, 128×1, and the BiLSTM runs one step.
 
 Batching packs each modality's inputs once, so the graph has the same
-nodes at every batch size: the frames side by side for one CNN op, which
-returns them already pooled (word columns, or one mean column per
-utterance in uttconcat), so its 128×N output never becomes a graph node;
-and the token vectors (their means, in uttconcat) for one semantic linear.
+nodes at every batch size: the frames side by side for the one acoustic
+encoder, ``acoustic_encode``, whose CNN op returns them already pooled
+(word columns, or one mean column per utterance in uttconcat), so its
+128×N output never becomes a graph node; and the token vectors (their
+means, in uttconcat) for one semantic linear.
 The word columns sit one sequence after another. One op runs the BiLSTM
 and its max-pool over them in every mode (uttconcat is its one-step case),
 ordering the steps by length inside, so each step computes only the
@@ -42,7 +43,7 @@ from . import tensor as T
 from .alignment import temporal_align_pool, word_entries  # noqa: F401
 from .data import PreparedSample, check_label
 from .dsp import N_FEATURES, feature_order_hash
-from .errors import DimensionError, InputError
+from .errors import InputError
 
 N_CLASSES = 4
 CNN_KERNELS = (20, 10, 2)
@@ -172,17 +173,13 @@ def init_params(seed: int = 0) -> ModelParams:
 # network stages
 
 
-def acoustic_encode_batch(features: Sequence[np.ndarray], params: ModelParams,
-                          pool: Sequence[np.ndarray] | str | None = None,
-                          ) -> tuple[T.Tensor, np.ndarray]:
-    """34×n_b feature arrays, one per utterance -> the batch's 128-row CNN
-    embedding, and the column where each utterance starts in the packed one.
-
-    pool picks what the embedding is: None, the packed 128×N output;
-    "mean", each utterance's mean frame column [128 × B]; one alignment
-    matrix [n_b × m_b] per utterance, the word columns [128 × Σ m_b], each
-    word summing its frames in time order. The pooling runs inside the CNN
-    op, so the packed output never leaves it.
+def acoustic_encode(features: Sequence[np.ndarray], params: ModelParams,
+                    alignments: Sequence[np.ndarray] | None = None) -> T.Tensor:
+    """34×n_b feature arrays, one per utterance -> their pooled 128-row CNN
+    columns: given one alignment matrix [n_b × m_b] per utterance, the word
+    columns [128 × Σ m_b], each word summing its frames in time order;
+    without, each utterance's mean frame [128 × B]. The pooling runs inside
+    the CNN op, so the frame-level output never leaves it.
 
     Three stacked 1-d conv layers with relu, one ``conv_relu_stack`` whose
     output stacks all three layer outputs (64 + 32 + 32 rows). The batch
@@ -202,20 +199,11 @@ def acoustic_encode_batch(features: Sequence[np.ndarray], params: ModelParams,
         keep[start:start + width] = 1.0
     layers = [(params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
               (params.conv3_w, params.conv3_b)]
-    if pool is None:
-        pooling = {}
-    elif isinstance(pool, str):
-        if pool != "mean":
-            raise ValueError(f"acoustic_encode_batch: unknown pool {pool!r}")
+    if alignments is None:
         pooling = {"spans": [(lo, lo + width) for lo, width in zip(starts, widths)]}
     else:
-        pooling = {"entries": word_entries(pool, starts, packed.shape[1])}
-    return T.conv_relu_stack(T.Tensor(packed), layers, keep, **pooling), starts
-
-
-def acoustic_encode(features: np.ndarray, params: ModelParams) -> T.Tensor:
-    """34×n low-level features -> 128×n embedding: the one-utterance batch."""
-    return acoustic_encode_batch([features], params)[0]
+        pooling = {"entries": word_entries(alignments, starts, widths)}
+    return T.conv_relu_stack(T.Tensor(packed), layers, keep, **pooling)
 
 
 def cross_modality_excite(z_s: T.Tensor, z_a2: T.Tensor,
@@ -235,16 +223,12 @@ def forward_batch(samples: Sequence[PreparedSample], params: ModelParams,
     features = [s.features for s in samples]
     if mode is FusionMode.UTT_CONCAT:
         lengths = np.ones(len(samples), dtype=np.int64)
-        z_a, _ = acoustic_encode_batch(features, params, "mean")
+        z_a = acoustic_encode(features, params)
         # the semantic linear commutes with the mean over an utterance's words
         tokens = np.stack([s.token_vectors.mean(axis=1) for s in samples], axis=1)
     else:
         lengths = np.array([s.n_words for s in samples], dtype=np.int64)
-        for s in samples:  # a longer alignment would pool the frames of the next sample
-            if s.alignment.shape[0] != s.n_frames:
-                raise DimensionError(f"sample {s.id!r}: alignment has {s.alignment.shape[0]} "
-                                     f"rows for {s.n_frames} frames")
-        z_a, _ = acoustic_encode_batch(features, params, [s.alignment for s in samples])
+        z_a = acoustic_encode(features, params, [s.alignment for s in samples])
         tokens = np.concatenate([s.token_vectors for s in samples], axis=1,
                                 dtype=T.default_dtype())
     z_s = T.linear(T.Tensor(tokens), params.sem_w, params.sem_b)

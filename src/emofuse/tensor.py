@@ -8,13 +8,13 @@ walks the resulting graph once, in reverse topological order.
 Besides the generic algebra, three fused ops carry the model's hot loops:
 ``conv1d_same`` is im2col matmuls over blocks of ``CONV_BLOCK`` columns,
 forward and (as a transposed conv) backward; ``conv_relu_stack`` runs
-relu(conv) layers on them into one stacked output and, given the batch's
-pooling (word entries as ``pool_cols`` takes them, or spans as
-``mean_cols`` does), returns the pooled columns instead, building its
-gradient in the stack's own rows; and ``bilstm_max`` runs both LSTM
-directions over packed sequences, sorted longest first so each step is one
-block of rows, max-pooling as it goes, with one input projection per
-direction and a hand-written backpropagation through time.
+relu(conv) layers on them into one stacked output that it pools before
+returning (by word entries as ``pool_cols`` takes them, or by spans as
+``mean_cols`` does), building its gradient in the stack's own rows; and
+``bilstm_max`` runs both LSTM directions over packed sequences, sorted
+longest first so each step is one block of rows, max-pooling as it goes,
+with one input projection per direction and a hand-written
+backpropagation through time.
 
 Design constraints:
   - 2-d matrices are the working currency; no broadcasting beyond the
@@ -286,31 +286,28 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
 def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], keep: np.ndarray,
                     *, entries: tuple | None = None,
                     spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
-    """relu(conv1d_same) layers, each (filters, bias), in turn over x [cin×n]:
-    each writes its rows of one [Σ cout × n] stack and reads the rows of
-    the layer before. keep, a 0/1 weight per column, zeroes the dropped
-    columns of every layer but the last.
-
-    Unpooled, the result is the stack; the graph holds only x and it, and
-    the backward reads each layer's input and relu mask off them and
-    overwrites the output gradient in place. Given entries (cols, groups,
-    weights, n_groups) or spans, the result pools the stack bit for bit as
-    ``pool_cols`` or ``mean_cols`` would, and the stack never leaves the
-    op: the backward builds each layer's gradient in the layer's own rows,
-    top layer first, once the layer above has read them for its filter
-    gradient, so no second [Σ cout × n] array is made."""
+    """relu(conv1d_same) layers, each (filters, bias), in turn over x [cin×n],
+    pooled: each layer writes its rows of one [Σ cout × n] stack and reads
+    the rows of the layer before; keep, a 0/1 weight per column, zeroes the
+    dropped columns of every layer but the last. Exactly one of entries
+    (cols, groups, weights, n_groups) or spans is given, and the result
+    pools the stack by it bit for bit as ``pool_cols`` or ``mean_cols``
+    would. The stack never leaves the op: the backward builds each layer's
+    gradient in the layer's own rows, top layer first, once the layer above
+    has read them for its filter gradient, so no second [Σ cout × n] array
+    is made."""
     _need_2d(x, "conv_relu_stack")
     if np.shape(keep) != (x.shape[1],):
         raise DimensionError(f"conv_relu_stack keep {np.shape(keep)} does not fit x {x.shape}")
-    if entries is not None and spans is not None:
-        raise ValueError("conv_relu_stack pools by entries or by spans, not both")
+    if (entries is None) == (spans is None):
+        raise ValueError("conv_relu_stack pools by exactly one of entries or spans")
     weights = tuple(t for layer in layers for t in layer)
     rows = np.cumsum([0] + [bias.data.size for _, bias in layers])  # cout, once checked
     out_data = np.empty((rows[-1], x.shape[1]), np.result_type(x.data, *(t.data for t in weights)))
     if entries is not None:
         cols, groups, pool_weights, n_groups = _checked_entries(
             *entries, out_data.shape, out_data.dtype, "conv_relu_stack")
-    if spans is not None:
+    else:
         spans = _checked_spans(spans, out_data.shape, "conv_relu_stack")
     blocks = [out_data[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
     inputs = [x.data] + blocks
@@ -323,25 +320,19 @@ def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], keep: np
     if entries is not None:
         result = _gather_sum(out_data, _gather_plan(groups, cols, pool_weights, n_groups,
                                                     out_data.dtype))
-    elif spans is not None:
-        result = _span_means(out_data, spans)
     else:
-        result = out_data
+        result = _span_means(out_data, spans)
 
     def grad_fn(g: np.ndarray) -> None:
-        if result is out_data:
-            grads = [g[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])]
-        else:  # the activation rows take the gradient, layer by layer
-            grads = blocks
-            if entries is not None:
-                plan = _gather_plan(cols, groups, pool_weights, x.shape[1], g.dtype)
+        if entries is not None:
+            plan = _gather_plan(cols, groups, pool_weights, x.shape[1], g.dtype)
 
         def begin(i: int) -> np.ndarray:
             """Layer i's relu mask, read before its pooled gradient lands."""
             mask = blocks[i] > 0
             if entries is not None:
                 _gather_sum(g[rows[i]:rows[i + 1]], plan, out=blocks[i])
-            elif spans is not None:
+            else:
                 blocks[i][...] = 0.0
                 _add_span_grads(g[rows[i]:rows[i + 1]], spans, blocks[i])
             return mask
@@ -350,14 +341,14 @@ def conv_relu_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], keep: np
         for i in reversed(range(len(layers))):
             # whole now: the layer after has added its input gradient
             if i < len(layers) - 1:
-                grads[i] *= keep
-            grads[i] *= mask
-            _conv_param_grads(inputs[i], *layers[i], grads[i])
+                blocks[i] *= keep
+            blocks[i] *= mask
+            _conv_param_grads(inputs[i], *layers[i], blocks[i])
             if i:
                 mask = begin(i - 1)
-                _conv_input_grad(layers[i][0], grads[i], grads[i - 1])
+                _conv_input_grad(layers[i][0], blocks[i], blocks[i - 1])
             elif x.requires_grad:
-                _conv_input_grad(layers[0][0], grads[0], _grad_buffer(x))
+                _conv_input_grad(layers[0][0], blocks[0], _grad_buffer(x))
 
     return _result(result, (x, *weights), grad_fn, "conv_relu_stack")
 

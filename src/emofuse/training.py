@@ -294,8 +294,6 @@ def train_fold(records: Sequence[UtteranceRecord], config: TrainConfig,
             try:
                 batch_loss = M.loss(batch, params, mode)
                 value = batch_loss.item()
-                if not math.isfinite(value):
-                    raise FloatingPointError("loss is not finite")
                 T.backward(batch_loss)
             except FloatingPointError as exc:
                 raise DivergenceError(

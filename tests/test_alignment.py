@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import emofuse.tensor as T
-from emofuse.alignment import (AlignmentMatrix, WordSpan, build_alignment, pool_words,
-                               temporal_align_pool)
+from emofuse.alignment import (AlignmentMatrix, WordSpan, build_alignment, temporal_align_pool,
+                               word_entries)
 from emofuse.errors import DimensionError, InputError
 
 
@@ -167,7 +167,8 @@ class TestPoolWords:
                 z = rng.standard_normal((5, starts[-1] + aligns[-1].shape[0]))
                 weigh = rng.standard_normal((5, sum(a.shape[1] for a in aligns)))
                 packed_z = T.Tensor(z, requires_grad=True)
-                packed = pool_words(packed_z, aligns, starts)
+                entries = word_entries(aligns, starts, [a.shape[0] for a in aligns])
+                packed = T.pool_cols(packed_z, *entries)
                 T.backward(T.sum_all(T.hadamard(packed, T.Tensor(weigh))))
                 want, want_grad = [], np.zeros_like(packed_z.data)
                 word = 0
@@ -183,8 +184,14 @@ class TestPoolWords:
                 np.testing.assert_array_equal(packed_z.grad, want_grad)
 
     def test_utterance_past_the_end_rejected(self):
-        with pytest.raises(DimensionError):
-            pool_words(T.Tensor(np.ones((2, 5))), [np.ones((3, 1)), np.ones((3, 1))], [0, 3])
+        # three rows for the second utterance's two frames reach past its end
+        with pytest.raises(DimensionError, match="utterance 1"):
+            word_entries([np.ones((3, 1)), np.ones((3, 1))], [0, 3], [3, 2])
+
+    def test_alignment_shorter_than_its_frames_rejected(self):
+        # two rows for three frames would leave the last frame unpooled
+        with pytest.raises(DimensionError, match="3 frames"):
+            word_entries([np.ones((2, 1))], [0], [3])
 
 
 class TestValidateAlignment:

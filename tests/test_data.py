@@ -334,7 +334,7 @@ class TestPrepareRecord:
         table = data.load_embeddings(ds.embeddings_path)
         sample = data.prepare_record(ds.records[0], table)
         assert sample.features.shape[0] == 34
-        assert sample.alignment.shape == (sample.n_frames, sample.n_words)
+        assert sample.alignment.shape == (sample.features.shape[1], sample.n_words)
         assert sample.token_vectors.shape == (300, sample.n_words)
         assert sample.oov_count == 0
 
@@ -364,7 +364,7 @@ class TestPrepareRecord:
         table = data.EmbeddingTable({})
         sample = data.prepare_record(record, table)
         np.testing.assert_array_equal(sample.features, features)
-        assert sample.n_frames == 30
+        assert sample.features.shape == (34, 30)
 
     def _thirty_frame_record(self, tmp_path, words):
         # 30 frames cover (30 - 1) * 10 + 25 = 315 ms of audio

@@ -28,6 +28,40 @@ def make_sample(rng, n_frames=40, n_words=3, label=1, rid="s"):
     )
 
 
+def composed_cnn(features, params, alignments=None):
+    """M.acoustic_encode built from separate ops over the same packed batch:
+    relu(conv1d_same) per layer, the gap mask, concat_rows, then pool_cols
+    or mean_cols; every layer output and the stack are graph nodes."""
+    from emofuse.alignment import word_entries
+
+    gap = max(M.CNN_KERNELS) // 2
+    widths = [x.shape[1] for x in features]
+    starts = np.cumsum([0] + [w + gap for w in widths[:-1]])
+    packed = np.zeros((features[0].shape[0], starts[-1] + widths[-1]))
+    keep = np.zeros(packed.shape[1])
+    for x, start, width in zip(features, starts, widths):
+        packed[:, start:start + width] = x
+        keep[start:start + width] = 1.0
+    layers = [(params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
+              (params.conv3_w, params.conv3_b)]
+    h, outs = T.Tensor(packed), []
+    for i, (w, b) in enumerate(layers):
+        h = T.relu(T.conv1d_same(h, w, b))
+        if i < len(layers) - 1:
+            h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
+        outs.append(h)
+    stack = T.concat_rows(*outs)
+    if alignments is None:
+        return T.mean_cols(stack, [(lo, lo + width) for lo, width in zip(starts, widths)])
+    return T.pool_cols(stack, *word_entries(alignments, starts, widths))
+
+
+def identities(features):
+    """One identity alignment per utterance: every frame its own word, so
+    the encoder returns the frame-level output, without the gaps."""
+    return [np.eye(x.shape[1]) for x in features]
+
+
 def zero_params() -> M.ModelParams:
     return M.ModelParams.from_arrays({name: np.zeros(shape)
                                       for name, shape in M.PARAM_SHAPES.items()})
@@ -67,39 +101,41 @@ class TestModelParams:
 class TestAcousticEncode:
     def test_output_is_128_rows(self, params, rng):
         for n in (1, 7, 98):
-            out = M.acoustic_encode(rng.standard_normal((34, n)), params)
-            assert out.shape == (128, n)
+            xs = [rng.standard_normal((34, n))]
+            assert M.acoustic_encode(xs, params, identities(xs)).shape == (128, n)
+            assert M.acoustic_encode(xs, params).shape == (128, 1)
 
     def test_zero_params_give_zero_output(self, rng):
-        out = M.acoustic_encode(rng.standard_normal((34, 20)), zero_params())
-        np.testing.assert_array_equal(out.data, 0.0)
+        xs = [rng.standard_normal((34, 20))]
+        for aligns in (identities(xs), None):
+            np.testing.assert_array_equal(M.acoustic_encode(xs, zero_params(), aligns).data, 0.0)
 
     def test_packed_batch_matches_one_at_a_time(self, params, rng):
         # lengths below, near and far above the widest kernel (20) in one batch
         with T.precision(64):
             xs = [rng.standard_normal((34, n)) for n in (1, 3, 19, 80)]
-            packed, starts = M.acoustic_encode_batch(xs, params)
+            packed = M.acoustic_encode(xs, params, identities(xs)).data
+            starts = np.cumsum([0] + [x.shape[1] for x in xs[:-1]])
             for x, start in zip(xs, starts):
-                out = packed.data[:, start:start + x.shape[1]]
-                np.testing.assert_allclose(out, M.acoustic_encode(x, params).data,
+                out = packed[:, start:start + x.shape[1]]
+                np.testing.assert_allclose(out, M.acoustic_encode([x], params, identities([x])).data,
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bits", [32, 64])
     def test_pooled_batch_matches_pooling_the_packed_output(self, params, rng, bits):
-        from emofuse.alignment import pool_words
+        from emofuse.alignment import word_entries
         with T.precision(bits):
             samples = [make_sample(rng, n_frames=n, n_words=m)
                        for n, m in ((3, 2), (40, 3), (25, 5))]
             features, aligns = [s.features for s in samples], [s.alignment for s in samples]
-            stack, starts = M.acoustic_encode_batch(features, params)
-            spans = [(lo, lo + s.n_frames) for lo, s in zip(starts, samples)]
-            for pool, want in ((aligns, pool_words(stack, aligns, starts)),
-                               ("mean", T.mean_cols(stack, spans))):
-                got, got_starts = M.acoustic_encode_batch(features, params, pool)
-                np.testing.assert_array_equal(got_starts, starts)
-                np.testing.assert_array_equal(got.data, want.data)
-        with pytest.raises(ValueError, match="pool"):
-            M.acoustic_encode_batch(features, params, "max")
+            frames = M.acoustic_encode(features, params, identities(features))
+            widths = [x.shape[1] for x in features]
+            starts = np.cumsum([0] + widths[:-1])
+            spans = [(lo, lo + width) for lo, width in zip(starts, widths)]
+            for pool, want in ((aligns, T.pool_cols(frames, *word_entries(aligns, starts, widths))),
+                               (None, T.mean_cols(frames, spans))):
+                np.testing.assert_array_equal(M.acoustic_encode(features, params, pool).data,
+                                              want.data)
 
     def test_packed_gradients_match_one_at_a_time(self, params, rng):
         with T.precision(64):
@@ -114,16 +150,13 @@ class TestAcousticEncode:
                 return trial.conv1_w.grad
 
             def packed_losses(p):
-                # gap columns get weight 0
-                out, starts = M.acoustic_encode_batch(feats, p)
-                weigh = np.zeros(out.shape)
-                for w, start in zip(weights, starts):
-                    weigh[:, start:start + w.shape[1]] = w
-                return [T.sum_all(T.hadamard(out, T.Tensor(weigh)))]
+                out = M.acoustic_encode(feats, p, identities(feats))
+                return [T.sum_all(T.hadamard(out, T.Tensor(np.concatenate(weights, axis=1))))]
 
             def single_losses(p):
                 # one graph per utterance; their gradients add up in conv1_w
-                return [T.sum_all(T.hadamard(M.acoustic_encode(x, p), T.Tensor(w)))
+                return [T.sum_all(T.hadamard(M.acoustic_encode([x], p, identities([x])),
+                                             T.Tensor(w)))
                         for x, w in zip(feats, weights)]
 
             packed = conv1_grad(packed_losses)
@@ -255,15 +288,21 @@ class TestAcousticMemory:
         # separate layers, their relu outputs, gap masks and a concat hold 514
         rng = np.random.default_rng(6)
         features = [rng.standard_normal((34, 20 * int(w))) for w in rng.integers(8, 25, size=32)]
+        n_cols = sum(x.shape[1] for x in features) + max(M.CNN_KERNELS) // 2 * (len(features) - 1)
         params = M.init_params(seed=0)
-        tracemalloc.start()
-        try:
-            acoustic, _ = M.acoustic_encode_batch(features, params)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert acoustic.shape[1] > 2 * T.CONV_BLOCK
-        assert held <= 170 * 4 * acoustic.shape[1], held / (4 * acoustic.shape[1])
+
+        def held(encode):
+            tracemalloc.start()
+            try:
+                acoustic = encode(features, params)
+                return tracemalloc.get_traced_memory()[0], acoustic
+            finally:
+                tracemalloc.stop()
+
+        fused, acoustic = held(M.acoustic_encode)
+        assert acoustic.shape == (M.ACOUSTIC_DIM, len(features))
+        assert n_cols > 2 * T.CONV_BLOCK
+        assert fused <= 170 * 4 * n_cols < held(composed_cnn)[0], fused / (4 * n_cols)
 
 
 class TestBackwardMemory:
@@ -298,7 +337,7 @@ class TestPooledCnnBackwardMemory:
         params = M.init_params(seed=0)
         cnn = [params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b,
                params.conv3_w, params.conv3_b]
-        n_cols = sum(s.n_frames for s in samples) + max(M.CNN_KERNELS) // 2 * (len(samples) - 1)
+        n_cols = sum(x.shape[1] for x in features) + max(M.CNN_KERNELS) // 2 * (len(samples) - 1)
         weigh = T.Tensor(rng.standard_normal((M.ACOUSTIC_DIM, int(words.sum()))))
 
         def backward_peak(pooled_words):
@@ -314,16 +353,12 @@ class TestPooledCnnBackwardMemory:
                 tracemalloc.stop()
             return peak - held
 
-        def composed():  # the stack leaves the op, and pooling is a node of its own
-            from emofuse.alignment import pool_words
-            stack, starts = M.acoustic_encode_batch(features, params)
-            return pool_words(stack, aligns, starts)
-
-        fused = backward_peak(lambda: M.acoustic_encode_batch(features, params, aligns)[0])
+        fused = backward_peak(lambda: M.acoustic_encode(features, params, aligns))
+        composed = backward_peak(lambda: composed_cnn(features, params, aligns))
         stack_bytes = M.ACOUSTIC_DIM * n_cols * np.dtype(T.default_dtype()).itemsize
         bound = sum(t.data.nbytes for t in cnn) + stack_bytes / 2
         # pool_cols' backward allocates the stack's whole gradient
-        assert fused <= bound < backward_peak(composed), (fused / 1e6, bound / 1e6)
+        assert fused <= bound < composed, (fused / 1e6, bound / 1e6)
 
 
 class TestModelGradient:
@@ -342,10 +377,11 @@ class TestShapeLedger:
 
         sample = make_sample(rng, n_frames=50, n_words=4)
         n, m = 50, 4
-        za1 = M.acoustic_encode(sample.features, params)
+        za1 = M.acoustic_encode([sample.features], params, [np.eye(n)])
         assert za1.shape == (128, n)
         za2 = temporal_align_pool(za1, sample.alignment)
         assert za2.shape == (128, m)
+        assert M.acoustic_encode([sample.features], params, [sample.alignment]).shape == (128, m)
         zs = T.linear(T.Tensor(sample.token_vectors), params.sem_w, params.sem_b)
         assert zs.shape == (128, m)
         gated = M.cross_modality_excite(zs, za2, params)

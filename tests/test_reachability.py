@@ -15,7 +15,7 @@ bodies of live definitions, from a root:
 How a reference counts:
 
 - A module-level name counts when module-qualified (``T.tanh``) or imported
-  by name (``from .alignment import pool_words``); a bare attribute such as
+  by name (``from .alignment import word_entries``); a bare attribute such as
   ``np.tanh`` or ``seen.add`` does not.
 - A classmethod or staticmethod counts when reached as ``<Class>.m``,
   ``cls.m`` or ``self.m``; other methods count by attribute name.
@@ -44,9 +44,9 @@ ALLOWED = {
     "tensor.sum_all": "the scalariser every gradient check wraps around the op it checks",
 }
 
-# Live only through perfbench. The tensor ops and acoustic_encode go once the
-# benchmark stops tracing them; the estimator's persistence moves to ALLOWED
-# if perfbench stops serving from a reloaded model.
+# Live only through perfbench. The tensor ops go once the benchmark stops
+# tracing them; the estimator's persistence moves to ALLOWED if perfbench
+# stops serving from a reloaded model.
 PERFBENCH_ONLY = {
     **{f"tensor.{op}": "in TENSOR_OPS; the tracer raises on a missing attribute"
        for op in ("conv1d_same", "tanh", "add", "add_bias", "slice_rows", "slice_cols",
@@ -55,7 +55,8 @@ PERFBENCH_ONLY = {
                             "no longer calls it",
     "tensor.mean_cols": "in TENSOR_OPS; conv_relu_stack pools inside the op, so the model "
                         "no longer calls it",
-    "model.acoustic_encode": "a traced span; the tracer raises on a missing attribute",
+    "dsp.FrameFeatureMatrix.n_frames": "perfbench's frame counter reads it off "
+                                       "utterance_features' result",
     "estimator.EmotionRecognizer": "the library's classifier (README, Library), which "
                                    "no entry point of the package constructs",
     "estimator.EmotionRecognizer.save": "the estimator's persistence (README, Library)",
@@ -227,11 +228,11 @@ def test_perfbench_only_set_is_pinned():
 def test_only_qualified_or_imported_names_count():
     tree = ast.parse("import numpy as np\n"
                      "from . import model as M, tensor as T\n"
-                     "from .alignment import pool_words\n"
+                     "from .alignment import word_entries\n"
                      "def f(seen, x):\n"
                      "    np.tanh(x); seen.add(x); x.from_arrays(x); x.named()\n"
-                     "    T.relu(x); pool_words(x); M.ModelParams.from_arrays(x)\n")
-    expected = {"tensor.relu", "alignment.pool_words", "model.ModelParams",
+                     "    T.relu(x); word_entries(x); M.ModelParams.from_arrays(x)\n")
+    expected = {"tensor.relu", "alignment.word_entries", "model.ModelParams",
                 "model.ModelParams.from_arrays", "model.ModelParams.named"}
     assert PKG.references(tree.body[-1:], "data", tree) == expected
     assert PKG.references(tree.body[-1:], "gradcheck", tree) == expected - {"tensor.relu"}

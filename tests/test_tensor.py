@@ -113,14 +113,16 @@ class TestConvReluStack:
         return x, layers
 
     @staticmethod
-    def _run(x, layers, keep, weigh, fused):
-        """Output and every gradient of sum(weigh ⊙ stack), built fused or
-        from conv1d_same, relu, a mask hadamard and concat_rows; with no
-        keep, the fused op gets all ones and the composed one no mask."""
+    def _run(x, layers, keep, pooling, weigh, fused):
+        """Output and every gradient of sum(weigh ⊙ pooled stack), built
+        fused or from conv1d_same, relu, a mask hadamard, concat_rows and
+        pool_cols or mean_cols; with no keep, the fused op gets all ones
+        and the composed one no mask."""
         xt = T.Tensor(x, requires_grad=True)
         lt = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in layers]
         if fused:
-            out = T.conv_relu_stack(xt, lt, np.ones(x.shape[1]) if keep is None else keep)
+            out = T.conv_relu_stack(xt, lt, np.ones(x.shape[1]) if keep is None else keep,
+                                    **pooling)
         else:
             h, outs = xt, []
             for i, (w, b) in enumerate(lt):
@@ -128,7 +130,9 @@ class TestConvReluStack:
                 if keep is not None and i < len(lt) - 1:
                     h = T.hadamard(h, T.Tensor(np.broadcast_to(keep, h.shape)))
                 outs.append(h)
-            out = T.concat_rows(*outs)
+            stack = T.concat_rows(*outs)
+            out = (T.pool_cols(stack, *pooling["entries"]) if "entries" in pooling
+                   else T.mean_cols(stack, pooling["spans"]))
         T.backward(T.sum_all(T.hadamard(out, T.Tensor(weigh))))
         return [out.data, xt.grad] + [t.grad for pair in lt for t in pair]
 
@@ -136,9 +140,9 @@ class TestConvReluStack:
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2037])
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_the_composed_ops_bit_for_bit(self, bits, n, masked):
-        # n sits on either side of one and two column-block boundaries; the
-        # gaps are 10 columns wide, as between packed utterances, and one
-        # straddles the first block boundary
+        # n sits on either side of column-block boundaries; the gaps are 10
+        # columns wide, as between packed utterances, and one straddles a
+        # block boundary; each column pooled alone compares the whole stack
         rng = np.random.default_rng(n)
         with T.precision(bits):
             x, layers = self._operands(rng, n)
@@ -147,9 +151,10 @@ class TestConvReluStack:
                 keep = np.ones(n, dtype=T.default_dtype())
                 for lo in (0, 300, 995, 1700):
                     keep[lo + 4:lo + 14] = 0.0
+            each_column = {"entries": (np.arange(n), np.arange(n), np.ones(n), n)}
             weigh = rng.standard_normal((13, n))
-            fused = self._run(x, layers, keep, weigh, fused=True)
-            composed = self._run(x, layers, keep, weigh, fused=False)
+            fused = self._run(x, layers, keep, each_column, weigh, fused=True)
+            composed = self._run(x, layers, keep, each_column, weigh, fused=False)
         for got, want in zip(fused, composed, strict=True):
             assert got.dtype == want.dtype == (np.float32 if bits == 32 else np.float64)
             np.testing.assert_array_equal(got, want)
@@ -177,13 +182,13 @@ class TestConvReluStack:
             a[shared, 1:3] = 0.5
             aligns.append(a)
         spans = [(lo, lo + n) for lo, n in zip(starts, lengths)]
-        return keep, spans, word_entries(aligns, starts, keep.size)
+        return keep, spans, word_entries(aligns, starts, lengths)
 
     @pytest.mark.parametrize("bits", [32, 64])
     @pytest.mark.parametrize("batch", [1, 13, 32])
     @pytest.mark.parametrize("form", ["entries", "spans"])
     def test_pooled_matches_pooling_the_stack_bit_for_bit(self, bits, batch, form):
-        # the unpooled stack, then pool_cols or mean_cols: output and gradients
+        # against the composed stack, then pool_cols or mean_cols: output and gradients
         rng = np.random.default_rng(batch)
         with T.precision(bits):
             keep, spans, entries = self._packed_batch(rng, batch)
@@ -191,30 +196,19 @@ class TestConvReluStack:
             x, layers = self._operands(rng, keep.size)
             pooling = {"entries": entries} if form == "entries" else {"spans": spans}
             width = entries[3] if form == "entries" else batch
-            weigh = T.Tensor(rng.standard_normal((13, width)))
-            runs = []
-            for fused in (True, False):
-                xt = T.Tensor(x, requires_grad=True)
-                lt = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True))
-                      for w, b in layers]
-                if fused:
-                    out = T.conv_relu_stack(xt, lt, keep, **pooling)
-                else:
-                    stack = T.conv_relu_stack(xt, lt, keep)
-                    out = (T.pool_cols(stack, *entries) if form == "entries"
-                           else T.mean_cols(stack, spans))
-                T.backward(T.sum_all(T.hadamard(out, weigh)))
-                runs.append([out.data, xt.grad] + [t.grad for pair in lt for t in pair])
-        for got, want in zip(*runs, strict=True):
+            weigh = rng.standard_normal((13, width))
+            fused = self._run(x, layers, keep, pooling, weigh, fused=True)
+            composed = self._run(x, layers, keep, pooling, weigh, fused=False)
+        for got, want in zip(fused, composed, strict=True):
             assert got.dtype == want.dtype == (np.float32 if bits == 32 else np.float64)
             np.testing.assert_array_equal(got, want)
 
-    def test_pools_by_entries_or_spans_not_both(self):
+    def test_pools_by_exactly_one_of_entries_or_spans(self):
         x = T.Tensor(np.zeros((3, 8)))
         layer = (T.Tensor(np.zeros((4, 3, 2))), T.Tensor(np.zeros(4)))
-        with pytest.raises(ValueError, match="not both"):
-            T.conv_relu_stack(x, [layer], np.ones(8), entries=([0], [0], [1.0], 1),
-                              spans=[(0, 8)])
+        for pooling in ({}, {"entries": ([0], [0], [1.0], 1), "spans": [(0, 8)]}):
+            with pytest.raises(ValueError, match="exactly one"):
+                T.conv_relu_stack(x, [layer], np.ones(8), **pooling)
         with pytest.raises(ValueError, match="entries"):
             T.conv_relu_stack(x, [layer], np.ones(8), entries=([8], [0], [1.0], 1))
         with pytest.raises(ValueError, match="spans"):
@@ -224,21 +218,23 @@ class TestConvReluStack:
         from emofuse.gradcheck import OP_TOLERANCE, _op_cases, grad_check
         with T.precision(64):
             cases = [(seed, name, f, x) for seed in range(5) for name, f, x in _op_cases(seed)
-                     if name.startswith("conv_relu_stack/")]
-            assert len(cases) == 25  # x and both layers' filters and biases
+                     if name.startswith("conv_relu_stack ")]
+            assert len(cases) == 50  # both poolings: x and both layers' filters and biases
             for seed, name, f, x in cases:
                 assert grad_check(f, x) <= OP_TOLERANCE, (seed, name)
 
     def test_shape_errors(self):
         x = T.Tensor(np.zeros((3, 8)))
         layer = (T.Tensor(np.zeros((4, 3, 2))), T.Tensor(np.zeros(4)))
+        mean = {"spans": [(0, 8)]}
         with pytest.raises(DimensionError, match="keep"):
-            T.conv_relu_stack(x, [layer], np.ones(7))
+            T.conv_relu_stack(x, [layer], np.ones(7), **mean)
         with pytest.raises(DimensionError, match=r"\(4, 3, 2\)"):
-            T.conv_relu_stack(x, [layer, layer], np.ones(8))  # the second layer reads 4 rows, not 3
+            # the second layer reads 4 rows, not 3
+            T.conv_relu_stack(x, [layer, layer], np.ones(8), **mean)
         for filters in (np.zeros(()), np.zeros((4, 3))):
             with pytest.raises(DimensionError):
-                T.conv_relu_stack(x, [(T.Tensor(filters), layer[1])], np.ones(8))
+                T.conv_relu_stack(x, [(T.Tensor(filters), layer[1])], np.ones(8), **mean)
 
 
 class TestElementwise:
